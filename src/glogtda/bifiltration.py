@@ -57,8 +57,6 @@ class Line:
 
     offset: float
 
-    direction = (1.0, 1.0)
-
 
 def compute_glog(
     v: Volume, sigma_gauss: float, sigma_log: float

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import stability_harness, vectorize
 from .bifiltration import compute_glog
-from .errors import FormatError, GlogError, NotFoundError, ParameterError
+from .errors import FormatError, GlogError, NotFoundError, ParameterError, ShapeError
 from .fibered import make_line_grid
 from .learn import (
     TrainConfig,
@@ -117,6 +117,13 @@ def cmd_extract(args) -> int:
             continue  # split absent from the archive
     if "train" not in datasets:
         raise ParameterError(f"dataset {dataset_path} has no train split")
+    # degrees and the grade box come from the train split; other splits must match
+    n_dims = datasets["train"].volumes[0].n
+    for split, ds in datasets.items():
+        if ds.volumes[0].n != n_dims:
+            raise ShapeError(
+                f"{split} split holds {ds.volumes[0].n}D volumes, train split {n_dims}D"
+            )
 
     fields = {
         split: [compute_glog(v, sigma_gauss, sigma_log) for v in ds.volumes]
@@ -129,7 +136,6 @@ def cmd_extract(args) -> int:
         weight_power=weight_power,
     )
     grid = make_line_grid(cfg.box, num_lines)
-    n_dims = len(datasets["train"].volumes[0].dims)
     degrees = tuple(range(n_dims))
 
     timings = []

@@ -33,10 +33,6 @@ class Bar(NamedTuple):
     death: float
     degree: int
 
-    @property
-    def persistence(self) -> float:
-        return self.death - self.birth
-
 
 @dataclass(frozen=True)
 class Barcode:
@@ -119,9 +115,6 @@ class CubicalComplex:
     @property
     def n_cells(self) -> int:
         return self.structure.n_cells
-
-    def distinct_grades(self) -> np.ndarray:
-        return np.unique(self.grades)
 
 
 def _interleave_max(a: np.ndarray, axis: int) -> np.ndarray:
@@ -351,21 +344,32 @@ def _matching_feasible(adj: np.ndarray, drop_a: np.ndarray, drop_b: np.ndarray) 
                 yield j
             yield from range(n_b, size)  # any diagonal copy of A
 
-    def augment(u, seen):
-        for v in neighbors(u):
-            if seen[v]:
+    def augment(root) -> bool:
+        # depth-first search for an augmenting path on an explicit stack, so
+        # long paths cannot hit the recursion limit; path[i] is the right
+        # vertex through which stack[i + 1] was reached
+        seen = [False] * size
+        stack = [(root, neighbors(root))]
+        path = []
+        while stack:
+            candidates = stack[-1][1]
+            v = next((v for v in candidates if not seen[v]), None)
+            if v is None:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             seen[v] = True
-            if match_right[v] == -1 or augment(match_right[v], seen):
-                match_left[u] = v
-                match_right[v] = u
+            if match_right[v] == -1:
+                for (w, _), x in zip(stack, path + [v]):
+                    match_left[w] = x
+                    match_right[x] = w
                 return True
+            path.append(v)
+            stack.append((match_right[v], neighbors(match_right[v])))
         return False
 
-    for u in range(size):
-        if not augment(u, [False] * size):
-            return False
-    return True
+    return all(augment(u) for u in range(size))
 
 
 def bottleneck(bars_a: Sequence, bars_b: Sequence) -> float:

@@ -30,10 +30,6 @@ class FiberedBar(NamedTuple):
     degree: int
     was_infinite: bool
 
-    @property
-    def persistence(self) -> float:
-        return self.death - self.birth
-
 
 def widen_box(box: Box) -> Box:
     """Expand degenerate axes symmetrically so the box has positive area."""
@@ -132,8 +128,9 @@ def clip_bars(
             continue
         was_inf = isinf(b.death)
         birth = max(b.birth, t_enter)
-        # essential classes stay visible on every line: a birth past the exit
-        # still gets a delta-long stub rather than vanishing
+        # a birth past the exit still gets a delta-long stub here; the image
+        # side (vectorize.render_mpi) ends it at t_exit + delta, so it shrinks
+        # there and vanishes when born at or past t_exit + delta
         death = max(t_exit, birth) + delta if was_inf else min(b.death, t_exit)
         if death > birth:
             out.append(FiberedBar(birth, death, b.degree, was_inf))

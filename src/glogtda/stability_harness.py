@@ -262,7 +262,7 @@ def disjoint_support_pair(rng, dims=(12, 12), min_separation=2):
             g2 = np.zeros(dims)
             g1[pa] = rng.uniform(0.2, 1.0, (pa[0].stop - pa[0].start, pa[1].stop - pa[1].start))
             g2[pb] = rng.uniform(0.2, 1.0, (pb[0].stop - pb[0].start, pb[1].stop - pb[1].start))
-            return g1, g2, True
+            return g1, g2
     raise ParameterError("could not sample separated patches; grid too small")
 
 
@@ -328,10 +328,10 @@ def run_decomposition_suite(
     report = DecompositionReport(seed=seed, dims=tuple(dims), num_lines=num_lines)
     for idx in range(n_geometries):
         if idx == 0:
-            g1, _, _ = disjoint_support_pair(rng, dims)
+            g1, _ = disjoint_support_pair(rng, dims)
             g2 = np.zeros(dims)
         else:
-            g1, g2, _ = disjoint_support_pair(rng, dims)
+            g1, g2 = disjoint_support_pair(rng, dims)
         equal, bars = check_decomposition(g1, g2, num_lines)
         report.geometries.append(
             GeometryResult(idx, applicable=equal is not None, equal=equal,

@@ -1,19 +1,19 @@
 """Dataset ingestion: NPY/NPZ/PGM readers, grayscale conversion, normalization.
 
-The NPY parser is deliberately narrow: C-order u8/f32/f64 only, versions 1.0
-and 2.0. Anything else errors loudly instead of guessing. NPZ archives are
-plain ZIP containers; only the stored and deflate methods are accepted.
+NPY headers are read and written with numpy.lib.format, but the accepted set
+is deliberately narrow: C-order u8/f32/f64 only, versions 1.0 and 2.0.
+Anything else errors loudly instead of guessing. NPZ archives are plain ZIP
+containers; only the stored and deflate methods are accepted.
 """
 
 from __future__ import annotations
 
-import ast
 import io
-import struct
 import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .errors import (
     DomainError,
@@ -25,14 +25,11 @@ from .errors import (
     UnsupportedFeatureError,
 )
 
-NPY_MAGIC = b"\x93NUMPY"
-
-# dtype descriptor -> numpy dtype; the only element types we decode
-_SUPPORTED_DESCRS = {
-    "|u1": np.dtype("u1"),
-    "<u1": np.dtype("u1"),
-    "<f4": np.dtype("<f4"),
-    "<f8": np.dtype("<f8"),
+# the only element types we decode or encode
+_SUPPORTED_DTYPES = (np.dtype("u1"), np.dtype("<f4"), np.dtype("<f8"))
+_HEADER_READERS = {
+    (1, 0): npy_format.read_array_header_1_0,
+    (2, 0): npy_format.read_array_header_2_0,
 }
 
 # ITU-R BT.601 luminance weights, fixed for determinism
@@ -108,70 +105,35 @@ def read_npy(data: bytes) -> np.ndarray:
     Only u8/f32/f64, fortran_order=False. The payload must match the header's
     shape exactly; leftovers or truncation raise LengthError.
     """
-    if len(data) < 8 or data[:6] != NPY_MAGIC:
-        raise FormatError("bad NPY magic")
-    major, minor = data[6], data[7]
-    if (major, minor) == (1, 0):
-        if len(data) < 10:
-            raise FormatError("truncated NPY header length")
-        (hlen,) = struct.unpack_from("<H", data, 8)
-        hstart = 10
-    elif (major, minor) == (2, 0):
-        if len(data) < 12:
-            raise FormatError("truncated NPY header length")
-        (hlen,) = struct.unpack_from("<I", data, 8)
-        hstart = 12
-    else:
-        raise UnsupportedFeatureError(f"NPY version {major}.{minor} not supported")
-    hend = hstart + hlen
-    if len(data) < hend:
-        raise FormatError("truncated NPY header")
+    fp = io.BytesIO(data)
     try:
-        header = ast.literal_eval(data[hstart:hend].decode("latin1"))
-    except (ValueError, SyntaxError) as exc:
-        raise FormatError(f"unparseable NPY header: {exc}") from exc
-    if not isinstance(header, dict) or not {"descr", "fortran_order", "shape"} <= set(header):
-        raise FormatError("NPY header missing required keys")
-    descr = header["descr"]
-    if not isinstance(descr, str) or descr not in _SUPPORTED_DESCRS:
-        raise UnsupportedFeatureError(f"dtype {descr!r} not supported")
-    if header["fortran_order"]:
+        version = npy_format.read_magic(fp)
+        if version not in _HEADER_READERS:
+            raise UnsupportedFeatureError(f"NPY version {version[0]}.{version[1]} not supported")
+        shape, fortran_order, dtype = _HEADER_READERS[version](fp)
+    except ValueError as exc:
+        raise FormatError(f"bad NPY magic or header: {exc}") from exc
+    if dtype not in _SUPPORTED_DTYPES:
+        raise UnsupportedFeatureError(f"dtype {dtype.str!r} not supported")
+    if fortran_order:
         raise UnsupportedFeatureError("fortran_order=True not supported")
-    shape = header["shape"]
-    if not isinstance(shape, tuple) or not all(
-        isinstance(d, int) and d >= 0 for d in shape
-    ):
+    if any(d < 0 for d in shape):
         raise FormatError(f"bad NPY shape {shape!r}")
-    dtype = _SUPPORTED_DESCRS[descr]
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    expected = count * dtype.itemsize
-    payload = data[hend:]
+    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    payload = data[fp.tell():]
     if len(payload) != expected:
         raise LengthError(f"payload is {len(payload)} bytes, expected {expected}")
     return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
 def write_npy(arr: np.ndarray) -> bytes:
-    """Encode an ndarray as NPY v1.0 (u8/f32/f64, C order, 64-byte aligned header)."""
+    """Encode an ndarray as NPY v1.0 (u8/f32/f64, C order)."""
     arr = np.ascontiguousarray(arr)
-    descr = {np.dtype("u1"): "|u1", np.dtype("<f4"): "<f4", np.dtype("<f8"): "<f8"}.get(
-        arr.dtype
-    )
-    if descr is None:
+    if arr.dtype not in _SUPPORTED_DTYPES:
         raise UnsupportedFeatureError(f"dtype {arr.dtype} not supported for writing")
-    shape = arr.shape
-    shape_repr = "(" + ", ".join(str(d) for d in shape) + ("," if len(shape) == 1 else "") + ")"
-    header = f"{{'descr': '{descr}', 'fortran_order': False, 'shape': {shape_repr}, }}"
-    base = len(NPY_MAGIC) + 2 + 2  # magic + version + u16 header length
-    pad = (-(base + len(header) + 1)) % 64
-    header = header + " " * pad + "\n"
-    out = bytearray()
-    out += NPY_MAGIC
-    out += bytes((1, 0))
-    out += struct.pack("<H", len(header))
-    out += header.encode("latin1")
-    out += arr.tobytes(order="C")
-    return bytes(out)
+    fp = io.BytesIO()
+    npy_format.write_array(fp, arr, version=(1, 0))
+    return fp.getvalue()
 
 
 def read_npz(data: bytes, entry_name: str) -> np.ndarray:

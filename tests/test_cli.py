@@ -120,6 +120,24 @@ def test_empty_dataset_is_parameter_error(tmp_path):
     assert run(["extract", "--dataset", path, "--out", tmp_path / "o"]) == 2
 
 
+def test_mixed_2d_3d_splits_rejected(tmp_path, capsys):
+    from glogtda.volume_io import write_npz
+
+    rng = np.random.default_rng(7)
+    path = tmp_path / "mixed.npz"
+    write_npz(path, {
+        "train_images": rng.integers(0, 256, (4, 8, 8), dtype=np.uint8),
+        "train_labels": np.array([[0], [1], [0], [1]], dtype=np.uint8),
+        "test_images": rng.integers(0, 256, (2, 6, 8, 8), dtype=np.uint8),
+        "test_labels": np.array([[0], [1]], dtype=np.uint8),
+    })
+    out = tmp_path / "o"
+    assert run(["extract", "--dataset", path, "--out", out,
+                "--num-lines", "4", "--resolution", "8"]) == 2
+    assert "test split holds 3D volumes" in capsys.readouterr().err
+    assert not (out / "features_test.bin").exists()
+
+
 def test_config_file_with_flag_override(tmp_path, toy_dataset):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -347,6 +349,20 @@ def test_bottleneck_accepts_bar_tuples():
     a = [Bar(0.0, 1.0, 1)]
     b = [Bar(0.1, 1.1, 1)]
     assert bottleneck(a, b) == pytest.approx(0.1)
+
+
+def test_bottleneck_long_augmenting_paths_need_no_recursion():
+    # consecutive bars are 0.25 apart, so matching a_{i+1} to b_i is cheaper
+    # than the diagonal pairing and the search meets augmenting paths that run
+    # through hundreds of bars; a recursive search needs a frame per step
+    a = [(0.25 * i, 0.25 * i + 200.0) for i in range(400)]
+    b = [(x + 0.5, y + 0.5) for x, y in a]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        assert bottleneck(a, b) == 0.5
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # --- export ---------------------------------------------------------------------

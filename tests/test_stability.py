@@ -76,7 +76,7 @@ def test_suite_table_renders():
 def test_disjoint_support_pair_separation():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        g1, g2, _ = disjoint_support_pair(rng, (12, 12))
+        g1, g2 = disjoint_support_pair(rng, (12, 12))
         a = np.argwhere(g1 > 0)
         b = np.argwhere(g2 > 0)
         dist = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2).min()
@@ -85,7 +85,7 @@ def test_disjoint_support_pair_separation():
 
 def test_check_decomposition_equal_on_separated_pair():
     rng = np.random.default_rng(1)
-    g1, g2, _ = disjoint_support_pair(rng, (12, 12))
+    g1, g2 = disjoint_support_pair(rng, (12, 12))
     equal, bars = check_decomposition(g1, g2, num_lines=12)
     assert equal is True
     assert bars > 0
@@ -93,7 +93,7 @@ def test_check_decomposition_equal_on_separated_pair():
 
 def test_check_decomposition_empty_region():
     rng = np.random.default_rng(2)
-    g1, _, _ = disjoint_support_pair(rng, (12, 12))
+    g1, _ = disjoint_support_pair(rng, (12, 12))
     equal, _ = check_decomposition(g1, np.zeros((12, 12)), num_lines=10)
     assert equal is True
 

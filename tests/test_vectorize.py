@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from glogtda.bifiltration import BiGradedField
+from glogtda.bifiltration import BiGradedField, compute_glog
+from glogtda.cubical_persistence import Bar
 from glogtda.errors import FormatError, LengthError, ParameterError
-from glogtda.fibered import FiberedBar, FiberedBarcode, make_line_grid
+from glogtda.fibered import (
+    FiberedBar,
+    FiberedBarcode,
+    clip_bars,
+    compute_fibered_barcode,
+    make_line_grid,
+)
 from glogtda.vectorize import (
     FeatureVector,
     MpiConfig,
@@ -15,6 +24,9 @@ from glogtda.vectorize import (
     render_segments,
     write_feature_bin,
 )
+from glogtda.volume_io import Volume, normalize
+import reference_render
+from synthdata import disk_annulus_images
 
 
 def single_bar_barcode(birth, death, offset, box, degree=0, num_lines=5):
@@ -118,6 +130,52 @@ def test_flagged_infinite_bars_render_with_clipped_persistence():
     fb = FiberedBarcode(grid, tuple(bars), (0,))
     img = render_mpi(fb, 0, MpiConfig(box=box, bandwidth=0.05))
     assert img.sum() > 0.0
+
+
+def test_image_clamp_shortens_or_drops_stubs_born_past_exit():
+    # clip_bars gives an essential class born past t_exit the stub
+    # [b, b + delta]; the image ends every bar by t_exit + delta
+    box = (0.0, 0.0, 1.0, 1.0)
+    grid = make_line_grid(box, 50)
+    cfg = MpiConfig(box=box, bandwidth=0.05)
+    mid = len(grid) // 2
+    t_enter, t_exit = grid.crossing_interval(grid.offsets[mid])
+
+    def image(bars):
+        lines = [()] * len(grid)
+        lines[mid] = tuple(bars)
+        return render_mpi(FiberedBarcode(grid, tuple(lines), (0,)), 0, cfg)
+
+    born = t_exit + grid.delta / 2
+    stub = clip_bars([Bar(born, math.inf, 0)], t_enter, t_exit, grid.delta, (0,))
+    assert stub == (FiberedBar(born, born + grid.delta, 0, True),)
+    shortened = image([FiberedBar(born, t_exit + grid.delta, 0, True)])
+    assert shortened.sum() > 0.0
+    assert np.array_equal(image(stub), shortened)
+
+    born = t_exit + grid.delta
+    stub = clip_bars([Bar(born, math.inf, 0)], t_enter, t_exit, grid.delta, (0,))
+    assert stub == (FiberedBar(born, born + grid.delta, 0, True),)
+    assert (image(stub) == 0.0).all()
+
+
+def test_per_line_renderer_matches_loop_reference():
+    # summation order differs from the per-segment loop, so equality holds to
+    # rounding; the last sample of each set lies partly outside the box
+    images, _ = disk_annulus_images(3, size=28, seed=1)
+    fields2 = [compute_glog(normalize(Volume(im)), 0.5, 1.0) for im in images]
+    rng = np.random.default_rng(11)
+    fields3 = [compute_glog(Volume(rng.random((8, 8, 8))), 0.5, 1.0) for _ in range(2)]
+    for fields in (fields2, fields3):
+        cfg = MpiConfig(box=compute_global_box(fields[:-1]))
+        grid = make_line_grid(cfg.box, 50)
+        for f in fields:
+            fb = compute_fibered_barcode(f, grid, allow_clip=True)
+            assert fb.degrees_present == tuple(range(len(f.dims)))
+            for degree in fb.degrees_present:
+                want = reference_render.render_mpi(fb, degree, cfg)
+                got = render_mpi(fb, degree, cfg)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_render_missing_degree():
