@@ -178,6 +178,7 @@ def cmd_extract(args) -> int:
             "degrees": list(degrees),
             "feature_dim": len(degrees) * resolution * resolution,
             "seed": int(_merged(args, "seed", 0)),
+            "rgb_to_gray": {split: ds.rgb_to_gray for split, ds in datasets.items()},
         },
     )
     print(

@@ -7,12 +7,15 @@ coordinates is a k-cell; its codimension-1 faces sit one step away along each
 odd axis. Every cell carries the maximum of its vertices' scalar values
 (lower-star rule), which makes grades face-monotone by construction.
 
-compute_persistence pairs cells with the standard column reduction over the
-two-element field, run top-down with the clearing optimization; degree 0 is
-handled by the equivalent union-find pairing (same barcode, near-linear).
-Columns are Python integers used as bit sets, so column additions are single
-XORs. betti_oracle is a deliberately independent check: plain Gaussian
-elimination ranks of the boundary operators of a sublevel subcomplex.
+compute_persistence pairs cells over the two-element field without a
+boundary-matrix reduction in degrees 0 and n-1: numpy finds the apparent
+pairs (Bauer, "Ripser", 2021), union-find pairs degree 0 and, by duality,
+degree n-1 on the dual graph of top cells plus an exterior node (Garin et
+al., "Duality in persistent homology of images", 2020). Only the degrees in
+between (H1 of a 3D grid) reduce columns, and only those of the few cells
+left unpaired. betti_oracle is a deliberately independent check: plain
+Gaussian elimination ranks of the boundary operators of a sublevel
+subcomplex.
 """
 
 from __future__ import annotations
@@ -70,17 +73,21 @@ class _Structure:
         self.cell_dims = parity.sum(axis=0).astype(np.int8)
 
         strides = np.cumprod((1,) + self.doubled[::-1][:-1])[::-1].astype(np.int64)
+        # codimension-1 faces and cofaces, one step along each odd (even) axis;
+        # -1 where there is none
         faces = np.full((n_cells, 2 * n), -1, dtype=np.int64)
+        cofaces = np.full((n_cells, 2 * n), -1, dtype=np.int64)
         flat = np.arange(n_cells, dtype=np.int64)
         for ax in range(n):
             odd = parity[ax].astype(bool)
             faces[odd, 2 * ax] = flat[odd] - strides[ax]
             faces[odd, 2 * ax + 1] = flat[odd] + strides[ax]
+            below = ~odd & (coords[ax] > 0)
+            above = ~odd & (coords[ax] < self.doubled[ax] - 1)
+            cofaces[below, 2 * ax] = flat[below] - strides[ax]
+            cofaces[above, 2 * ax + 1] = flat[above] + strides[ax]
         self.faces = faces
-        # native rows for the hot reduction loop
-        self.face_rows: list[tuple[int, ...]] = [
-            tuple(int(f) for f in row if f >= 0) for row in faces
-        ]
+        self.cofaces = cofaces
 
     def counts_by_dim(self) -> dict[int, int]:
         dims, counts = np.unique(self.cell_dims, return_counts=True)
@@ -153,96 +160,125 @@ def _check_monotone(c: CubicalComplex) -> None:
         raise PreconditionError("cell grades are not monotone under the face relation")
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _two(rows: np.ndarray, fill: int) -> np.ndarray:
+    """First two entries, ascending, of each row with absent (-1) ones as fill."""
+    return np.sort(np.where(rows >= 0, rows, fill), axis=1)[:, :2]
+
+
 def compute_persistence(c: CubicalComplex) -> Barcode:
     """Barcode of the sublevel filtration, degrees 0..n-1, over F2.
 
-    Finite bars come from reduced-column pivots (union-find pairing in degree
-    0), infinite bars from unpaired positive cells. Zero-length pairs are
-    discarded. Ties are broken by (grade, dimension, anchor position), so the
-    output is deterministic.
+    Cells are totally ordered by (grade, dimension, anchor position), so the
+    output is deterministic. Apparent pairs (a cell's youngest face whose
+    oldest coface is that cell) are persistence pairs and are found in bulk.
+    Degree 0 pairs by union-find over the edges (elder rule), degree n-1 by
+    union-find over the dual graph of top cells plus an exterior node, walked
+    in reverse; the degrees between reduce sparse columns of the negative
+    cells left unpaired, with apparent partners standing in as pivots. The
+    full complex is contractible, so the only infinite bar is the oldest
+    vertex's. Zero-length pairs are discarded.
     """
     _check_monotone(c)
     st = c.structure
     n = len(st.dims)
+    n_cells = st.n_cells
+    ext = n_cells  # exterior node of the dual graph, older than every cell
     grades = c.grades
     cell_dims = st.cell_dims
 
     order = np.lexsort((cell_dims, grades))  # grade, then dim, then anchor (stable)
-    pos = np.empty(st.n_cells, dtype=np.int64)
-    pos[order] = np.arange(st.n_cells)
-    order_list = order.tolist()
+    pos = np.empty(n_cells + 1, dtype=np.int64)
+    pos[order] = np.arange(n_cells)
+    pos[ext] = ext
+    dims_sorted = cell_dims[order]
+    fpos = np.where(st.faces >= 0, pos[st.faces], -1)
+
+    # --- apparent pairs ------------------------------------------------------
+    rows = np.arange(n_cells)
+    youngest_face = st.faces[rows, fpos.argmax(axis=1)]  # -1 for vertices
+    oldest_coface = st.cofaces[rows, pos[st.cofaces].argmin(axis=1)]  # -1 for top cells
+    up = np.flatnonzero((youngest_face >= 0) & (oldest_coface[youngest_face] == rows))
+    lo = youngest_face[up]
+    paired = np.zeros(n_cells, dtype=bool)
+    paired[lo] = paired[up] = True
+    lo_dims = cell_dims[lo]
+    keep = grades[up] > grades[lo]
+    bars = list(map(Bar._make, zip(
+        grades[lo[keep]].tolist(), grades[up[keep]].tolist(), lo_dims[keep].tolist()
+    )))
+
+    # an apparent vertex dies into the other end of its edge, an apparent top
+    # cell into the other coface (or the exterior) of its youngest face
+    parent = np.arange(n_cells + 1)
+    v, e = lo[lo_dims == 0], up[lo_dims == 0]
+    ends = _two(st.faces[e], ext)
+    parent[v] = np.where(ends[:, 0] == v, ends[:, 1], ends[:, 0])
+    if n >= 2:
+        s, t = lo[lo_dims == n - 1], up[lo_dims == n - 1]
+        sides = _two(st.cofaces[s], ext)
+        parent[t] = np.where(sides[:, 0] == t, sides[:, 1], sides[:, 0])
+    parent = parent.tolist()
     pos_list = pos.tolist()
     grade_list = grades.tolist()
-    dims_sorted = cell_dims[order]
 
-    bars: list[Bar] = []
-
-    # --- degree 0: union-find over vertices and edges, elder rule -----------
-    parent = list(range(st.n_cells))  # only vertex entries are used
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    face_rows = st.face_rows
-    cycle_edges: list[int] = []  # sorted positions of edges that close cycles
-    for i in np.nonzero(dims_sorted == 1)[0].tolist():
-        cell = order_list[i]
-        u, v = face_rows[cell]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            cycle_edges.append(i)
+    # --- degree 0: union-find over the unpaired edges, elder rule ------------
+    free = order[(dims_sorted == 1) & ~paired[order]]
+    for edge, (u, w) in zip(free.tolist(), _two(st.faces[free], ext).tolist()):
+        ru, rw = _find(parent, u), _find(parent, w)
+        if ru == rw:
             continue
-        # smaller sorted position = older component; its root survives
-        if pos_list[ru] > pos_list[rv]:
-            ru, rv = rv, ru
-        g_birth = grade_list[rv]
-        g_death = grade_list[cell]
-        if g_death > g_birth:
-            bars.append(Bar(g_birth, g_death, 0))
-        parent[rv] = ru
+        if pos_list[ru] > pos_list[rw]:  # the younger root dies
+            ru, rw = rw, ru
+        parent[rw] = ru
+        if grade_list[edge] > grade_list[rw]:
+            bars.append(Bar(grade_list[rw], grade_list[edge], 0))
+    bars.append(Bar(grade_list[order[0]], INF, 0))  # the oldest cell is a vertex
 
-    for i in np.nonzero(dims_sorted == 0)[0].tolist():
-        v = order_list[i]
-        if find(v) == v:
-            bars.append(Bar(grade_list[v], INF, 0))
-
-    # --- degrees >= 1: twist reduction with clearing, top dimension first ---
-    cleared = bytearray(st.n_cells)  # indexed by sorted position
-    for k in range(n, 1, -1):
-        pivot_cols: dict[int, int] = {}
-        for i in np.nonzero(dims_sorted == k)[0].tolist():
-            if cleared[i]:
+    # --- degree n-1: dual union-find, (n-1)-cells in reverse order -----------
+    if n >= 2:
+        free = order[(dims_sorted == n - 1) & ~paired[order]][::-1]
+        for cell, (a, b) in zip(free.tolist(), _two(st.cofaces[free], ext).tolist()):
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra == rb:
                 continue
-            cell = order_list[i]
-            col = 0
-            for f in face_rows[cell]:
-                col ^= 1 << pos_list[f]
-            p = -1
-            while col:
-                p = col.bit_length() - 1
-                other = pivot_cols.get(p)
+            if pos_list[ra] > pos_list[rb]:  # the younger root dies
+                ra, rb = rb, ra
+            parent[ra] = rb
+            paired[cell] = True
+            if grade_list[ra] > grade_list[cell]:
+                bars.append(Bar(grade_list[cell], grade_list[ra], n - 1))
+
+    # --- degrees n-2..1: sparse reduction of the unpaired (negative) cells ---
+    order_list = order.tolist()
+    for k in range(n - 1, 1, -1):
+        at_k = lo_dims == k - 1
+        apparent = dict(zip(pos[lo[at_k]].tolist(), up[at_k].tolist()))
+        pivots: dict[int, set[int]] = {}
+        cols = order[(dims_sorted == k) & ~paired[order]]
+        for cell, row in zip(cols.tolist(), fpos[cols].tolist()):
+            col = {p for p in row if p >= 0}
+            while True:
+                p = max(col)
+                other = pivots.get(p)
                 if other is None:
-                    break
+                    partner = apparent.get(p)
+                    if partner is None:
+                        break
+                    other = pivots[p] = {q for q in fpos[partner].tolist() if q >= 0}
                 col ^= other
-            if col:
-                pivot_cols[p] = col
-                cleared[p] = 1
-                creator = order_list[p]
-                g_birth = grade_list[creator]
-                g_death = grade_list[cell]
-                if g_death > g_birth:
-                    bars.append(Bar(g_birth, g_death, k - 1))
-            elif k < n:
-                bars.append(Bar(grade_list[cell], INF, k))
+            pivots[p] = col
+            creator = order_list[p]
+            paired[creator] = True
+            if grade_list[cell] > grade_list[creator]:
+                bars.append(Bar(grade_list[creator], grade_list[cell], k - 1))
 
-    for i in cycle_edges:
-        if not cleared[i]:
-            bars.append(Bar(grade_list[order_list[i]], INF, 1))
-
-    bars = [b for b in bars if b.degree < n]
     bars.sort(key=lambda b: (b.degree, b.birth, b.death))
     return Barcode(tuple(bars))
 
@@ -267,10 +303,11 @@ def betti_oracle(c: CubicalComplex, t: float) -> list[int]:
     for k in range(1, n + 1):
         pivots: dict[int, int] = {}
         rank = 0
-        for cell in cells_by_dim[k].tolist():
+        for row in st.faces[cells_by_dim[k]].tolist():
             col = 0
-            for f in st.face_rows[cell]:
-                col ^= 1 << f
+            for f in row:
+                if f >= 0:
+                    col ^= 1 << f
             while col:
                 p = col.bit_length() - 1
                 other = pivots.get(p)
@@ -297,8 +334,8 @@ def component_count(c: CubicalComplex, t: float) -> int:
 
     for v in np.nonzero(keep & (st.cell_dims == 0))[0].tolist():
         parent[v] = v
-    for e in np.nonzero(keep & (st.cell_dims == 1))[0].tolist():
-        u, v = st.face_rows[e]
+    for row in st.faces[keep & (st.cell_dims == 1)].tolist():
+        u, v = (f for f in row if f >= 0)
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[rv] = ru
@@ -319,57 +356,54 @@ def _split_bars(bars) -> tuple[list[tuple[float, float]], list[float]]:
     return finite, infinite
 
 
-def _matching_feasible(adj: np.ndarray, drop_a: np.ndarray, drop_b: np.ndarray) -> bool:
-    """Perfect matching test on the diagonal-augmented bar graph.
+def _covers(adj: np.ndarray, required: np.ndarray) -> bool:
+    """Whether one matching of the bipartite graph adj (rows to columns)
+    covers every required row.
 
-    Left vertices are the first barcode's bars plus one diagonal copy per bar
-    of the second; right vertices symmetrically. A bar may pair with a bar of
-    the other side (adj), or with its own diagonal copy when droppable;
-    diagonal copies pair freely with each other.
+    Kuhn's search: a matched row stays matched, so this holds exactly when an
+    augmenting path exists from each required row in turn.
     """
-    n_a, n_b = adj.shape
-    size = n_a + n_b
-    match_left = [-1] * size  # left index -> right index
-    match_right = [-1] * size
-
-    def neighbors(u):
-        if u < n_a:
-            for j in np.nonzero(adj[u])[0].tolist():
-                yield j
-            if drop_a[u]:
-                yield n_b + u  # own diagonal copy
-        else:
-            j = u - n_a
-            if drop_b[j]:
-                yield j
-            yield from range(n_b, size)  # any diagonal copy of A
+    nbrs = [np.flatnonzero(row).tolist() for row in adj]
+    match_col = [-1] * adj.shape[1]
 
     def augment(root) -> bool:
         # depth-first search for an augmenting path on an explicit stack, so
-        # long paths cannot hit the recursion limit; path[i] is the right
-        # vertex through which stack[i + 1] was reached
-        seen = [False] * size
-        stack = [(root, neighbors(root))]
+        # long paths cannot hit the recursion limit; path[i] is the column
+        # through which stack[i + 1] was reached
+        seen = [False] * adj.shape[1]
+        stack = [(root, iter(nbrs[root]))]
         path = []
         while stack:
-            candidates = stack[-1][1]
-            v = next((v for v in candidates if not seen[v]), None)
+            v = next((v for v in stack[-1][1] if not seen[v]), None)
             if v is None:
                 stack.pop()
                 if path:
                     path.pop()
                 continue
             seen[v] = True
-            if match_right[v] == -1:
+            if match_col[v] == -1:
                 for (w, _), x in zip(stack, path + [v]):
-                    match_left[w] = x
-                    match_right[x] = w
+                    match_col[x] = w
                 return True
             path.append(v)
-            stack.append((match_right[v], neighbors(match_right[v])))
+            stack.append((match_col[v], iter(nbrs[match_col[v]])))
         return False
 
-    return all(augment(u) for u in range(size))
+    return all(augment(u) for u in np.flatnonzero(required).tolist())
+
+
+def _matching_feasible(adj: np.ndarray, drop_a: np.ndarray, drop_b: np.ndarray) -> bool:
+    """Perfect matching test on the diagonal-augmented bar graph.
+
+    Left vertices are the first barcode's bars plus one diagonal copy per bar
+    of the second; right vertices symmetrically. A bar may pair with a bar of
+    the other side (adj), or with its own diagonal copy when droppable;
+    diagonal copies pair freely with each other. So a perfect matching exists
+    exactly when some matching of adj covers every bar that cannot be
+    dropped, and by Mendelsohn-Dulmage exactly when one matching covers those
+    of the first barcode and another those of the second.
+    """
+    return _covers(adj, ~drop_a) and _covers(adj.T, ~drop_b)
 
 
 def bottleneck(bars_a: Sequence, bars_b: Sequence) -> float:

@@ -68,12 +68,17 @@ class Volume:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labelled volumes of identical dims belonging to one split."""
+    """Labelled volumes of identical dims belonging to one split.
+
+    ``rgb_to_gray`` records that the stored stack had a trailing colour axis
+    that was collapsed to luminance.
+    """
 
     volumes: list[Volume]
     labels: np.ndarray
     split: str
     num_classes: int = field(default=0)
+    rgb_to_gray: bool = False
 
     def __post_init__(self):
         if self.split not in ("train", "val", "test"):
@@ -241,10 +246,12 @@ def load_dataset(path, split: str, num_classes: int = 0) -> Dataset:
         data = fh.read()
     images = read_npz(data, f"{split}_images")
     labels = _squeeze_labels(read_npz(data, f"{split}_labels"))
-    if images.ndim == 4 and images.shape[-1] == 3:
-        # (N, H, W, 3) color stack; 3D volume stacks are (N, D, H, W) with W != 3
+    # (N, H, W, 3) color stack; 3D volume stacks are (N, D, H, W) with W != 3
+    rgb_to_gray = images.ndim == 4 and images.shape[-1] == 3
+    if rgb_to_gray:
         images = grayscale_convert(images)
     if images.ndim not in (3, 4):
         raise ShapeError(f"image stack must be (N, ...2D/3D), got shape {images.shape}")
     volumes = [normalize(Volume(img)) for img in images.astype(np.float64)]
-    return Dataset(volumes=volumes, labels=labels, split=split, num_classes=num_classes)
+    return Dataset(volumes=volumes, labels=labels, split=split,
+                   num_classes=num_classes, rgb_to_gray=rgb_to_gray)

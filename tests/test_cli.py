@@ -138,6 +138,26 @@ def test_mixed_2d_3d_splits_rejected(tmp_path, capsys):
     assert not (out / "features_test.bin").exists()
 
 
+@pytest.mark.parametrize("shape, rgb", [((4, 8, 8, 3), True), ((4, 8, 8), False)])
+def test_extract_config_records_colour_interpretation(tmp_path, shape, rgb):
+    from glogtda.volume_io import load_dataset, write_npz
+
+    rng = np.random.default_rng(8)
+    path = tmp_path / "colour.npz"
+    labels = np.array([[0], [1], [0], [1]], dtype=np.uint8)
+    write_npz(path, {
+        "train_images": rng.integers(0, 256, shape, dtype=np.uint8), "train_labels": labels,
+        "val_images": rng.integers(0, 256, shape, dtype=np.uint8), "val_labels": labels,
+    })
+    assert load_dataset(path, "train").rgb_to_gray is rgb
+    out = tmp_path / "o"
+    assert run(["extract", "--dataset", path, "--out", out,
+                "--num-lines", "4", "--resolution", "8"]) == 0
+    got = json.loads((out / "extract_config.json").read_text())
+    assert got["rgb_to_gray"] == {"train": rgb, "val": rgb}
+    assert got["degrees"] == [0, 1]
+
+
 def test_config_file_with_flag_override(tmp_path, toy_dataset):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

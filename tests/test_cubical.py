@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from glogtda.bifiltration import Line, compute_glog, slice_scalar_field
 from glogtda.cubical_persistence import (
     Bar,
     CubicalComplex,
+    _matching_feasible,
     betti_oracle,
     bottleneck,
     build_complex,
@@ -16,6 +18,9 @@ from glogtda.cubical_persistence import (
     compute_persistence,
 )
 from glogtda.errors import PreconditionError, ShapeError
+from glogtda.fibered import make_line_grid
+from glogtda.volume_io import Volume, normalize
+import reference_persistence
 
 INF = math.inf
 
@@ -205,8 +210,9 @@ def persistent_rank(c, s, t, k):
     boundary_cols = []
     for cell in k_cells_s:
         col = 0
-        for f in st.face_rows[cell]:
-            col ^= 1 << f
+        for f in st.faces[cell].tolist():
+            if f >= 0:
+                col ^= 1 << f
         boundary_cols.append(col)
     # kernel combos are expressed over the k-cells of X_s; re-express them as
     # bit sets over raw cell ids so they live in the same space as boundaries
@@ -223,8 +229,9 @@ def persistent_rank(c, s, t, k):
     b_cols = []
     for cell in np.nonzero(keep_t & (st.cell_dims == k + 1))[0].tolist():
         col = 0
-        for f in st.face_rows[cell]:
-            col ^= 1 << f
+        for f in st.faces[cell].tolist():
+            if f >= 0:
+                col ^= 1 << f
         b_cols.append(col)
     rank_b, pivots = rank_f2(b_cols)
     rank_zb = rank_b
@@ -255,6 +262,29 @@ def test_pairing_matches_persistent_rank_oracle():
                             if b.degree == k and b.birth <= s and b.death > t
                         )
                         assert alive == persistent_rank(c, s, t, k), (shape, s, t, k)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 2), (2, 5), (4, 7), (9, 9), (2, 2, 2), (2, 3, 4), (5, 4, 6), (7, 7, 7)]
+)
+def test_engine_matches_bitset_reference(shape):
+    # integer fields with few levels are full of ties, which the total order
+    # breaks by dimension and anchor; the bars and their order must agree
+    rng = np.random.default_rng(sum(shape))
+    for levels in (1, 2, 3, 5, None):
+        for _ in range(20):
+            f = rng.random(shape) if levels is None else rng.integers(0, levels, shape)
+            c = build_complex(f)
+            assert compute_persistence(c) == reference_persistence.compute_persistence(c)
+
+
+def test_engine_matches_bitset_reference_on_smoothed_volume_slices():
+    rng = np.random.default_rng(9)
+    field = compute_glog(normalize(Volume(rng.integers(0, 256, (16, 16, 16)))), 1.5, 1.0)
+    grid = make_line_grid(field.box, 50)
+    for offset in grid.offsets[[12, 25, 37]]:
+        c = build_complex(slice_scalar_field(field, Line(float(offset))))
+        assert compute_persistence(c) == reference_persistence.compute_persistence(c)
 
 
 def test_one_parameter_stability():
@@ -343,6 +373,17 @@ def test_bottleneck_matches_brute_force():
             assert math.isinf(got)
         else:
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_matching_feasible_agrees_with_augmented_graph_search():
+    rng = np.random.default_rng(10)
+    for _ in range(3000):
+        n_a, n_b = rng.integers(0, 8, 2)
+        adj = rng.random((n_a, n_b)) < rng.random()
+        drop_a = rng.random(n_a) < rng.random()
+        drop_b = rng.random(n_b) < rng.random()
+        want = reference_persistence._matching_feasible(adj, drop_a, drop_b)
+        assert _matching_feasible(adj, drop_a, drop_b) == want
 
 
 def test_bottleneck_accepts_bar_tuples():
