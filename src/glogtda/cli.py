@@ -91,6 +91,14 @@ def _pool_init(job):
     _WORK["job"] = job
 
 
+def _clip_report(boxes, grid, box) -> dict:
+    """Samples whose grade box the grid misses (their bars get clipped), and
+    the farthest any box reaches past box."""
+    reach = (np.reshape(boxes, (-1, 4)) - box) * (-1, -1, 1, 1)
+    return {"samples": sum(not grid.covers(b) for b in boxes),
+            "max_excess": float(reach.max(initial=0.0))}
+
+
 def cmd_extract(args) -> int:
     dataset_path = _merged(args, "dataset", None)
     if not dataset_path:
@@ -162,6 +170,8 @@ def cmd_extract(args) -> int:
         "samples": len(timings),
         "mean_seconds": float(np.mean(timings)),
         "p95_seconds": float(np.quantile(timings, 0.95)),
+        "clipped": {split: _clip_report([f.box for f in fs], grid, cfg.box)
+                    for split, fs in fields.items()},
         "note": "wall clock on this machine; reference timings depend on hardware",
     }
     _write_json(out_dir / "timing.json", timing)

@@ -7,13 +7,15 @@ coordinates is a k-cell; its codimension-1 faces sit one step away along each
 odd axis. Every cell carries the maximum of its vertices' scalar values
 (lower-star rule), which makes grades face-monotone by construction.
 
-compute_persistence pairs cells over the two-element field without a
-boundary-matrix reduction in degrees 0 and n-1: numpy finds the apparent
-pairs (Bauer, "Ripser", 2021), union-find pairs degree 0 and, by duality,
-degree n-1 on the dual graph of top cells plus an exterior node (Garin et
-al., "Duality in persistent homology of images", 2020). Only the degrees in
-between (H1 of a 3D grid) reduce columns, and only those of the few cells
-left unpaired. betti_oracle is a deliberately independent check: plain
+compute_persistence takes exactly such grades and orders the cells by one
+integer key each (rank of the grade among the vertex grades, dimension,
+anchor). It pairs cells over the two-element field without a boundary-matrix
+reduction in degrees 0 and n-1: numpy finds the apparent pairs (Bauer,
+"Ripser", 2021) from neighbouring keys, union-find pairs degree 0 and, by
+duality, degree n-1 on the dual graph of top cells plus an exterior node
+(Garin et al., "Duality in persistent homology of images", 2020). Only the
+degrees in between (H1 of a 3D grid) reduce columns, and only those of the
+few cells left unpaired, which are the only ones sorted. betti_oracle is a deliberately independent check: plain
 Gaussian elimination ranks of the boundary operators of a sublevel
 subcomplex.
 """
@@ -68,26 +70,32 @@ class _Structure:
         n_cells = int(np.prod(self.doubled))
         self.n_cells = n_cells
 
-        coords = np.indices(self.doubled).reshape(n, n_cells)
-        parity = coords % 2
+        parity = np.indices(self.doubled).reshape(n, n_cells) % 2
         self.cell_dims = parity.sum(axis=0).astype(np.int8)
 
         strides = np.cumprod((1,) + self.doubled[::-1][:-1])[::-1].astype(np.int64)
-        # codimension-1 faces and cofaces, one step along each odd (even) axis;
-        # -1 where there is none
+        # codimension-1 faces, one step along each odd axis; -1 where there is none
         faces = np.full((n_cells, 2 * n), -1, dtype=np.int64)
-        cofaces = np.full((n_cells, 2 * n), -1, dtype=np.int64)
         flat = np.arange(n_cells, dtype=np.int64)
         for ax in range(n):
             odd = parity[ax].astype(bool)
             faces[odd, 2 * ax] = flat[odd] - strides[ax]
             faces[odd, 2 * ax + 1] = flat[odd] + strides[ax]
-            below = ~odd & (coords[ax] > 0)
-            above = ~odd & (coords[ax] < self.doubled[ax] - 1)
-            cofaces[below, 2 * ax] = flat[below] - strides[ax]
-            cofaces[above, 2 * ax + 1] = flat[above] + strides[ax]
         self.faces = faces
-        self.cofaces = cofaces
+
+        # for compute_persistence: compact ids (index among the cells of one
+        # dimension), per edge its two vertices, per (n-1)-cell the top cells
+        # on either side (or the exterior, numbered after them), key parts
+        self.cells_of_dim = [np.flatnonzero(self.cell_dims == k) for k in range(n + 1)]
+        self.index_in_dim = index = np.empty(n_cells, dtype=np.int64)
+        for cells in self.cells_of_dim:
+            index[cells] = np.arange(cells.size)
+        self.edge_ends = index[np.sort(faces[self.cells_of_dim[1]], axis=1)[:, -2:]]
+        tops = self.cells_of_dim[n]
+        self.wall_sides = np.full((self.cells_of_dim[n - 1].size, 2), tops.size)
+        for j in range(2):
+            self.wall_sides[index[faces[tops, j::2]], j] = index[tops][:, None]
+        self.dim_anchor = self.cell_dims.astype(np.int64) * n_cells + flat
 
     def counts_by_dim(self) -> dict[int, int]:
         dims, counts = np.unique(self.cell_dims, return_counts=True)
@@ -152,12 +160,7 @@ def build_complex(field: np.ndarray) -> CubicalComplex:
     return CubicalComplex(_structure_for(arr.shape), grades.ravel())
 
 
-def _check_monotone(c: CubicalComplex) -> None:
-    faces = c.structure.faces
-    valid = faces >= 0
-    face_grades = c.grades[np.where(valid, faces, 0)]
-    if not np.all(np.where(valid, face_grades <= c.grades[:, None], True)):
-        raise PreconditionError("cell grades are not monotone under the face relation")
+_NO_COFACE = 2**63 - 1  # key of the exterior and of a missing coface
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -167,117 +170,144 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _two(rows: np.ndarray, fill: int) -> np.ndarray:
-    """First two entries, ascending, of each row with absent (-1) ones as fill."""
-    return np.sort(np.where(rows >= 0, rows, fill), axis=1)[:, :2]
-
-
 def compute_persistence(c: CubicalComplex) -> Barcode:
     """Barcode of the sublevel filtration, degrees 0..n-1, over F2.
 
-    Cells are totally ordered by (grade, dimension, anchor position), so the
-    output is deterministic. Apparent pairs (a cell's youngest face whose
-    oldest coface is that cell) are persistence pairs and are found in bulk.
-    Degree 0 pairs by union-find over the edges (elder rule), degree n-1 by
-    union-find over the dual graph of top cells plus an exterior node, walked
-    in reverse; the degrees between reduce sparse columns of the negative
-    cells left unpaired, with apparent partners standing in as pivots. The
-    full complex is contractible, so the only infinite bar is the oldest
-    vertex's. Zero-length pairs are discarded.
+    The grades must be lower-star (PreconditionError otherwise). Cells are
+    totally ordered by (grade, dimension, anchor position), one integer key
+    each, so the output is deterministic. Apparent pairs (a cell's youngest
+    face whose oldest coface is that cell) are persistence pairs and are
+    found in bulk. Loops run over the cells left: degree 0 pairs by
+    union-find over the vertices (elder rule), degree n-1 by union-find over
+    the dual graph of top cells plus an exterior node, walked in reverse; the
+    degrees between reduce sparse columns of the negative cells, with
+    apparent partners standing in as pivots. The full complex is
+    contractible, so the only infinite bar is the oldest vertex's.
+    Zero-length pairs are discarded.
     """
-    _check_monotone(c)
     st = c.structure
     n = len(st.dims)
     n_cells = st.n_cells
-    ext = n_cells  # exterior node of the dual graph, older than every cell
     grades = c.grades
-    cell_dims = st.cell_dims
+    index = st.index_in_dim
 
-    order = np.lexsort((cell_dims, grades))  # grade, then dim, then anchor (stable)
-    pos = np.empty(n_cells + 1, dtype=np.int64)
-    pos[order] = np.arange(n_cells)
-    pos[ext] = ext
-    dims_sorted = cell_dims[order]
-    fpos = np.where(st.faces >= 0, pos[st.faces], -1)
+    # rank the vertex grades and lift the ranks to the cells by the lower-star
+    # rule, which must give back every grade
+    values, vertex_rank = np.unique(grades.reshape(st.doubled)[(slice(None, None, 2),) * n],
+                                    return_inverse=True)
+    rank = vertex_rank = vertex_rank.reshape(st.dims)
+    for ax in range(n):
+        rank = _interleave_max(rank, ax)
+    if not np.array_equal(values[rank.ravel()], grades):
+        raise PreconditionError("cell grades are not the lower-star grades of the vertices")
+    # unique keys in (grade, dimension, anchor) order; key[-1] is a missing face
+    key = np.append(rank.ravel() * ((n + 1) * n_cells) + st.dim_anchor, -1)
 
     # --- apparent pairs ------------------------------------------------------
-    rows = np.arange(n_cells)
-    youngest_face = st.faces[rows, fpos.argmax(axis=1)]  # -1 for vertices
-    oldest_coface = st.cofaces[rows, pos[st.cofaces].argmin(axis=1)]  # -1 for top cells
-    up = np.flatnonzero((youngest_face >= 0) & (oldest_coface[youngest_face] == rows))
-    lo = youngest_face[up]
+    # along each axis of the doubled grid, a cell at an odd position has its
+    # faces at the even positions either side, one at an even position its
+    # cofaces at the odd ones
+    grid = key[:n_cells].reshape(st.doubled)
+    youngest = np.full(st.doubled, -1, dtype=np.int64)
+    oldest = np.full(st.doubled, _NO_COFACE, dtype=np.int64)
+    for ax in range(n):
+        odd, lower, upper = ((slice(None),) * ax + (slice(i, j, 2),)
+                             for i, j in ((1, None), (0, -1), (2, None)))
+        np.maximum(youngest[odd], np.maximum(grid[lower], grid[upper]), out=youngest[odd])
+        np.minimum(oldest[lower], grid[odd], out=oldest[lower])
+        np.minimum(oldest[upper], grid[odd], out=oldest[upper])
+    # a vertex's -1 wraps to the last cell, another vertex, whose oldest
+    # coface is an edge
+    youngest = youngest.ravel() % n_cells
+    up = np.flatnonzero(oldest.ravel()[youngest] == key[:n_cells])
+    lo = youngest[up]
     paired = np.zeros(n_cells, dtype=bool)
     paired[lo] = paired[up] = True
-    lo_dims = cell_dims[lo]
+    lo_dims = st.cell_dims[lo]
     keep = grades[up] > grades[lo]
     bars = list(map(Bar._make, zip(
         grades[lo[keep]].tolist(), grades[up[keep]].tolist(), lo_dims[keep].tolist()
     )))
 
-    # an apparent vertex dies into the other end of its edge, an apparent top
-    # cell into the other coface (or the exterior) of its youngest face
-    parent = np.arange(n_cells + 1)
-    v, e = lo[lo_dims == 0], up[lo_dims == 0]
-    ends = _two(st.faces[e], ext)
-    parent[v] = np.where(ends[:, 0] == v, ends[:, 1], ends[:, 0])
-    if n >= 2:
-        s, t = lo[lo_dims == n - 1], up[lo_dims == n - 1]
-        sides = _two(st.cofaces[s], ext)
-        parent[t] = np.where(sides[:, 0] == t, sides[:, 1], sides[:, 0])
+    # --- degree 0: union-find over the vertices, elder rule ------------------
+    # an apparent vertex dies into the other end of its edge
+    vertices, edges = st.cells_of_dim[0], st.cells_of_dim[1]
+    v = index[lo[lo_dims == 0]]
+    parent = np.arange(vertices.size)
+    parent[v] = st.edge_ends[index[up[lo_dims == 0]]].sum(axis=1) - v
     parent = parent.tolist()
-    pos_list = pos.tolist()
-    grade_list = grades.tolist()
-
-    # --- degree 0: union-find over the unpaired edges, elder rule ------------
-    free = order[(dims_sorted == 1) & ~paired[order]]
-    for edge, (u, w) in zip(free.tolist(), _two(st.faces[free], ext).tolist()):
+    vertex_keys = key[vertices].tolist()
+    vertex_grades = grades[vertices].tolist()
+    free = np.flatnonzero(~paired[edges])
+    free = free[np.argsort(key[edges[free]])]
+    for g, (u, w) in zip(grades[edges[free]].tolist(), st.edge_ends[free].tolist()):
         ru, rw = _find(parent, u), _find(parent, w)
         if ru == rw:
             continue
-        if pos_list[ru] > pos_list[rw]:  # the younger root dies
+        if vertex_keys[ru] > vertex_keys[rw]:  # the younger root dies
             ru, rw = rw, ru
         parent[rw] = ru
-        if grade_list[edge] > grade_list[rw]:
-            bars.append(Bar(grade_list[rw], grade_list[edge], 0))
-    bars.append(Bar(grade_list[order[0]], INF, 0))  # the oldest cell is a vertex
+        if g > vertex_grades[rw]:
+            bars.append(Bar(vertex_grades[rw], g, 0))
+    bars.append(Bar(vertex_grades[int(vertex_rank.argmin())], INF, 0))
 
     # --- degree n-1: dual union-find, (n-1)-cells in reverse order -----------
+    # an apparent top cell dies into the other side (a top cell or the
+    # exterior) of its youngest face
     if n >= 2:
-        free = order[(dims_sorted == n - 1) & ~paired[order]][::-1]
-        for cell, (a, b) in zip(free.tolist(), _two(st.cofaces[free], ext).tolist()):
+        tops, walls = st.cells_of_dim[n], st.cells_of_dim[n - 1]
+        t = index[up[lo_dims == n - 1]]
+        parent = np.arange(tops.size + 1)
+        parent[t] = st.wall_sides[index[lo[lo_dims == n - 1]]].sum(axis=1) - t
+        parent = parent.tolist()
+        top_keys = key[tops].tolist() + [_NO_COFACE]
+        top_grades = grades[tops].tolist()
+        free = np.flatnonzero(~paired[walls])
+        free = free[np.argsort(key[walls[free]])[::-1]]
+        cells = walls[free]
+        for cell, g, (a, b) in zip(cells.tolist(), grades[cells].tolist(),
+                                   st.wall_sides[free].tolist()):
             ra, rb = _find(parent, a), _find(parent, b)
             if ra == rb:
                 continue
-            if pos_list[ra] > pos_list[rb]:  # the younger root dies
+            if top_keys[ra] > top_keys[rb]:  # the younger root dies
                 ra, rb = rb, ra
             parent[ra] = rb
             paired[cell] = True
-            if grade_list[ra] > grade_list[cell]:
-                bars.append(Bar(grade_list[cell], grade_list[ra], n - 1))
+            if top_grades[ra] > g:
+                bars.append(Bar(g, top_grades[ra], n - 1))
 
     # --- degrees n-2..1: sparse reduction of the unpaired (negative) cells ---
-    order_list = order.tolist()
+    # columns are sets of face keys; partner[f] is the row of partner_faces
+    # holding the boundary of f's apparent partner
     for k in range(n - 1, 1, -1):
-        at_k = lo_dims == k - 1
-        apparent = dict(zip(pos[lo[at_k]].tolist(), up[at_k].tolist()))
+        at_k = np.flatnonzero(lo_dims == k - 1)
+        partner = np.full(n_cells, -1)
+        partner[lo[at_k]] = np.arange(at_k.size)
+        partner_faces = key[st.faces[up[at_k]]]
         pivots: dict[int, set[int]] = {}
-        cols = order[(dims_sorted == k) & ~paired[order]]
-        for cell, row in zip(cols.tolist(), fpos[cols].tolist()):
-            col = {p for p in row if p >= 0}
+        cols = st.cells_of_dim[k]
+        cols = cols[~paired[cols]]
+        cols = cols[np.argsort(key[cols])]
+        for g, row in zip(grades[cols].tolist(), key[st.faces[cols]].tolist()):
+            col = set(row)
+            col.discard(-1)
             while True:
                 p = max(col)
                 other = pivots.get(p)
                 if other is None:
-                    partner = apparent.get(p)
-                    if partner is None:
+                    q = partner[p % n_cells]
+                    if q < 0:
                         break
-                    other = pivots[p] = {q for q in fpos[partner].tolist() if q >= 0}
+                    other = pivots[p] = set(partner_faces[q].tolist())
+                    other.discard(-1)
                 col ^= other
             pivots[p] = col
-            creator = order_list[p]
+            creator = p % n_cells
             paired[creator] = True
-            if grade_list[cell] > grade_list[creator]:
-                bars.append(Bar(grade_list[creator], grade_list[cell], k - 1))
+            birth = float(grades[creator])
+            if g > birth:
+                bars.append(Bar(birth, g, k - 1))
 
     bars.sort(key=lambda b: (b.degree, b.birth, b.death))
     return Barcode(tuple(bars))

@@ -2,22 +2,27 @@
 
 compute_persistence pairs degree 0 by union-find over all edges and every
 higher degree by the standard column reduction over F2, run top-down with
-clearing; columns are Python integers used as bit sets. _matching_feasible is
-the perfect-matching test on the diagonal-augmented bar graph that
-bottleneck used before it searched the bar-to-bar graph alone.
+clearing; columns are Python integers used as bit sets. Its own precondition
+check, _check_monotone, asks only that grades be monotone under the face
+relation, not that they be lower-star. _matching_feasible is the
+perfect-matching test on the diagonal-augmented bar graph that bottleneck
+used before it searched the bar-to-bar graph alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from glogtda.cubical_persistence import (
-    INF,
-    Bar,
-    Barcode,
-    CubicalComplex,
-    _check_monotone,
-)
+from glogtda.cubical_persistence import INF, Bar, Barcode, CubicalComplex
+from glogtda.errors import PreconditionError
+
+
+def _check_monotone(c: CubicalComplex) -> None:
+    faces = c.structure.faces
+    valid = faces >= 0
+    face_grades = c.grades[np.where(valid, faces, 0)]
+    if not np.all(np.where(valid, face_grades <= c.grades[:, None], True)):
+        raise PreconditionError("cell grades are not monotone under the face relation")
 
 
 def _face_rows(st) -> list[tuple[int, ...]]:

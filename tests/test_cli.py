@@ -138,6 +138,36 @@ def test_mixed_2d_3d_splits_rejected(tmp_path, capsys):
     assert not (out / "features_test.bin").exists()
 
 
+def test_timing_reports_clipped_samples(tmp_path):
+    from glogtda.bifiltration import compute_glog
+    from glogtda.volume_io import Volume, normalize, write_npz
+
+    # the val images are brighter than any train image, so every val grade box
+    # reaches past the train box, which covers every train sample
+    rng = np.random.default_rng(9)
+    train = rng.integers(0, 100, (4, 8, 8), dtype=np.uint8)
+    val = rng.integers(150, 256, (3, 8, 8), dtype=np.uint8)
+    path = tmp_path / "bright.npz"
+    write_npz(path, {
+        "train_images": train, "train_labels": np.array([[0], [1], [0], [1]], dtype=np.uint8),
+        "val_images": val, "val_labels": np.array([[0], [1], [0]], dtype=np.uint8),
+    })
+    out = tmp_path / "o"
+    assert run(["extract", "--dataset", path, "--out", out, "--num-lines", "4",
+                "--resolution", "8", "--sigma-gauss", "0.5"]) == 0
+    timing = json.loads((out / "timing.json").read_text())
+    assert timing["samples"] == 7 and timing["mean_seconds"] > 0
+    assert timing["clipped"]["train"] == {"samples": 0, "max_excess": 0.0}
+    assert timing["clipped"]["val"]["samples"] == 3
+    boxes = {split: [compute_glog(normalize(Volume(v)), 0.5, 1.0).box for v in vols]
+             for split, vols in (("train", train), ("val", val))}
+    lo1, lo2, hi1, hi2 = (f(b[i] for b in boxes["train"])
+                          for f, i in ((min, 0), (min, 1), (max, 2), (max, 3)))
+    want = max(max(lo1 - b[0], lo2 - b[1], b[2] - hi1, b[3] - hi2) for b in boxes["val"])
+    assert want > 0.3  # the brighter g1 reaches well past the train box
+    assert timing["clipped"]["val"]["max_excess"] == want
+
+
 @pytest.mark.parametrize("shape, rgb", [((4, 8, 8, 3), True), ((4, 8, 8), False)])
 def test_extract_config_records_colour_interpretation(tmp_path, shape, rgb):
     from glogtda.volume_io import load_dataset, write_npz

@@ -83,6 +83,22 @@ def test_monotonicity_precondition():
         compute_persistence(CubicalComplex(c.structure, bad))
 
 
+def test_non_lower_star_grades_rejected():
+    # raising an interior edge and both its squares by the same amount keeps
+    # the grades monotone under the face relation, but the edge no longer
+    # carries the maximum of its two vertices
+    c = build_complex(np.random.default_rng(4).random((4, 4)))
+    edge = np.ravel_multi_index((3, 2), c.structure.doubled)  # between (1,1) and (2,1)
+    squares = [np.ravel_multi_index(p, c.structure.doubled) for p in ((3, 1), (3, 3))]
+    assert c.structure.cell_dims[[edge] + squares].tolist() == [1, 2, 2]
+    bad = c.grades.copy()
+    bad[[edge] + squares] += 1.0
+    raised = CubicalComplex(c.structure, bad)
+    reference_persistence._check_monotone(raised)  # still monotone
+    with pytest.raises(PreconditionError):
+        compute_persistence(raised)
+
+
 # --- persistence fixtures ------------------------------------------------------
 
 
@@ -265,7 +281,9 @@ def test_pairing_matches_persistent_rank_oracle():
 
 
 @pytest.mark.parametrize(
-    "shape", [(2, 2), (2, 5), (4, 7), (9, 9), (2, 2, 2), (2, 3, 4), (5, 4, 6), (7, 7, 7)]
+    "shape",
+    [(2, 2), (2, 5), (4, 7), (9, 9), (2, 2, 2), (2, 3, 4), (5, 4, 6), (7, 7, 7),
+     (2,), (9,), (2, 9), (2, 2, 9)],  # last four: 1D and slab shapes
 )
 def test_engine_matches_bitset_reference(shape):
     # integer fields with few levels are full of ties, which the total order

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from glogtda import fibered
 from glogtda.bifiltration import BiGradedField, Line, slice_scalar_field, sup_distance, union_box
 from glogtda.cubical_persistence import betti_oracle, bottleneck, build_complex, compute_persistence
 from glogtda.errors import ParameterError
@@ -202,3 +203,31 @@ def test_fibered_csv():
     assert lines[0] == "offset,degree,birth,death,was_infinite"
     assert len(lines) == 1 + sum(len(b) for b in fb.barcodes)
     assert lines[1].endswith(",1")  # constant field bars are clipped essentials
+
+
+def test_one_complex_and_one_persistence_call_per_line(monkeypatch):
+    # the bench's per-call observers count bars per compute_persistence call,
+    # so each grid line must build its own complex, compute its own barcode
+    # and hand exactly those bars to clip_bars
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append((name, args, out))
+            return out
+        monkeypatch.setattr(fibered, name, wrapped)
+
+    for name in ("build_complex", "compute_persistence", "clip_bars"):
+        spy(name, getattr(fibered, name))
+    rng = np.random.default_rng(11)
+    f = BiGradedField(g1=rng.random((5, 4)), g2=rng.random((5, 4)))
+    grid = make_line_grid(f.box, 6)
+    fb = compute_fibered_barcode(f, grid)
+    names = [name for name, _, _ in calls]
+    assert names == ["build_complex", "compute_persistence", "clip_bars"] * len(grid)
+    for i in range(len(grid)):
+        (_, _, complex_), (_, (arg,), barcode), (_, clip_args, clipped) = calls[3 * i: 3 * i + 3]
+        assert arg is complex_
+        assert clip_args[0] is barcode.bars
+        assert fb.barcodes[i] is clipped
