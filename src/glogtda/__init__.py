@@ -36,7 +36,6 @@ from .errors import (
     UnsupportedFeatureError,
 )
 from .fibered import (
-    FiberedBar,
     FiberedBarcode,
     LineGrid,
     clip_bars,

@@ -15,9 +15,9 @@ reduction in degrees 0 and n-1: numpy finds the apparent pairs (Bauer,
 duality, degree n-1 on the dual graph of top cells plus an exterior node
 (Garin et al., "Duality in persistent homology of images", 2020). Only the
 degrees in between (H1 of a 3D grid) reduce columns, and only those of the
-few cells left unpaired, which are the only ones sorted. betti_oracle is a deliberately independent check: plain
-Gaussian elimination ranks of the boundary operators of a sublevel
-subcomplex.
+few cells left unpaired, which are the only ones sorted. betti_oracle is a
+deliberately independent check: plain Gaussian elimination ranks of the
+boundary operators of a sublevel subcomplex.
 """
 
 from __future__ import annotations

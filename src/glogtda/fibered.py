@@ -3,17 +3,18 @@ slope-1 lines covering the grade bounding box.
 
 Each line {(t, t + b)} turns the bi-graded field into a scalar field via
 max(g1, g2 - b); its sublevel barcode is the restriction of the two-parameter
-module to that line. Bars are clipped to the parameter interval where the
-line crosses the box; infinite deaths become box-exit + delta and keep a
+module to that line. clip_bars, the one place bars are clamped, clips them to
+the parameter interval [t_enter, t_exit] where the line crosses the box;
+infinite deaths become t_exit + delta (delta is the line spacing) and keep a
 was_infinite flag so vectorization sees finite mass without losing the
-information.
+information. Each line's clipped bars are one read-only (m, 4) float64 array
+of rows (birth, death, degree, was_infinite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isinf
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,13 +23,6 @@ from .cubical_persistence import Bar, build_complex, compute_persistence
 from .errors import ParameterError
 
 _DEGENERATE_WIDEN = 1e-6
-
-
-class FiberedBar(NamedTuple):
-    birth: float
-    death: float
-    degree: int
-    was_infinite: bool
 
 
 def widen_box(box: Box) -> Box:
@@ -90,22 +84,22 @@ def make_line_grid(box: Box, num_lines: int) -> LineGrid:
 
 @dataclass(frozen=True)
 class FiberedBarcode:
-    """One clipped barcode per grid line, assembled in offset order."""
+    """One clip_bars array per grid line, assembled in offset order."""
 
     grid: LineGrid
-    barcodes: tuple[tuple[FiberedBar, ...], ...]
+    barcodes: tuple[np.ndarray, ...]
     degrees_present: tuple[int, ...]
 
-    def bars_at(self, line_index: int, degree: int) -> list[FiberedBar]:
-        return [b for b in self.barcodes[line_index] if b.degree == degree]
+    def bars_at(self, line_index: int, degree: int) -> np.ndarray:
+        table = self.barcodes[line_index]
+        return table[table[:, 2] == degree]
 
     def to_csv(self) -> str:
         lines = ["offset,degree,birth,death,was_infinite"]
-        for offset, bars in zip(self.grid.offsets, self.barcodes):
-            for b in bars:
+        for offset, table in zip(self.grid.offsets.tolist(), self.barcodes):
+            for birth, death, degree, was_inf in table.tolist():
                 lines.append(
-                    f"{repr(float(offset))},{b.degree},{repr(b.birth)},"
-                    f"{repr(b.death)},{int(b.was_infinite)}"
+                    f"{offset!r},{int(degree)},{birth!r},{death!r},{int(was_inf)}"
                 )
         return "\n".join(lines) + "\n"
 
@@ -116,26 +110,26 @@ def clip_bars(
     t_exit: float,
     delta: float,
     degrees: Sequence[int],
-) -> tuple[FiberedBar, ...]:
-    """Clip bars to [t_enter, t_exit]; infinite deaths become t_exit + delta.
+) -> np.ndarray:
+    """Clip the bars of the given degrees to [t_enter, t_exit].
 
-    Bars that become empty are dropped. The same map is applied wherever
-    barcodes from different one-parameter computations must stay comparable.
+    Births start at t_enter, finite deaths end by t_exit and infinite deaths
+    become exactly t_exit + delta; bars that become empty are dropped, so an
+    essential class born at or past t_exit + delta leaves no row. Returns a
+    read-only (m, 4) float64 array of rows (birth, death, degree,
+    was_infinite) in (degree, birth, death) order. The same map is applied
+    wherever barcodes from different one-parameter computations must stay
+    comparable.
     """
-    out = []
-    for b in bars:
-        if b.degree not in degrees:
-            continue
-        was_inf = isinf(b.death)
-        birth = max(b.birth, t_enter)
-        # a birth past the exit still gets a delta-long stub here; the image
-        # side (vectorize.render_mpi) ends it at t_exit + delta, so it shrinks
-        # there and vanishes when born at or past t_exit + delta
-        death = max(t_exit, birth) + delta if was_inf else min(b.death, t_exit)
-        if death > birth:
-            out.append(FiberedBar(birth, death, b.degree, was_inf))
-    out.sort(key=lambda b: (b.degree, b.birth, b.death))
-    return tuple(out)
+    table = np.array(bars, dtype=np.float64).reshape(-1, 3)
+    birth, death, degree = table[np.isin(table[:, 2], degrees)].T
+    was_inf = np.isinf(death)
+    birth = np.maximum(birth, t_enter)
+    death = np.where(was_inf, t_exit + delta, np.minimum(death, t_exit))
+    out = np.column_stack((birth, death, degree, was_inf))[death > birth]
+    out = out[np.lexsort((out[:, 1], out[:, 0], out[:, 2]))]
+    out.setflags(write=False)
+    return out
 
 
 def compute_fibered_barcode(

@@ -298,19 +298,11 @@ def check_decomposition(
         # the slice grades never drop below the field's true entry parameter,
         # which can exceed the grid's entry when a degenerate axis was widened
         t_enter = max(t_enter, min1, min2 - offset)
-        expected = []
-        for b in bc1.bars:
-            if b.degree >= 1:
-                expected.append(b)
-        shifted = [
-            type(b)(b.birth - offset, b.death - offset, b.degree)
-            for b in bc2.bars
-            if b.degree >= 1
-        ]
-        merged = clip_bars(expected + shifted, t_enter, t_exit, grid.delta, degrees)
-        actual = tuple(b for b in fb.barcodes[li] if b.degree >= 1)
+        shifted = [(b.birth - offset, b.death - offset, b.degree) for b in bc2.bars]
+        merged = clip_bars(list(bc1.bars) + shifted, t_enter, t_exit, grid.delta, degrees)
+        actual = fb.barcodes[li][fb.barcodes[li][:, 2] >= 1]
         checked += len(actual)
-        if merged != actual:
+        if not np.array_equal(merged, actual):
             return False, checked
     return True, checked
 

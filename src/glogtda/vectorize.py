@@ -106,26 +106,19 @@ def render_segments(
 
 
 def render_mpi(fb: FiberedBarcode, degree: int, cfg: MpiConfig) -> np.ndarray:
-    """Persistence image of one homology degree; one render_segments call per line."""
+    """Persistence image of one homology degree; one render_segments call per line.
+
+    Bars are drawn as clip_bars left them, clipped to where their line
+    crosses the grid's box; build_features makes that box the config's.
+    """
     if degree not in fb.degrees_present:
         raise ParameterError(f"degree {degree} absent from barcode {fb.degrees_present}")
     min1, min2, max1, max2 = cfg.box
     span1, span2 = max1 - min1, max2 - min2
     density = fb.grid.delta / float(np.hypot(span1, span2))
     img = np.zeros(cfg.resolution, dtype=np.float64)
-    for offset, bars in zip(fb.grid.offsets.tolist(), fb.barcodes):
-        # image-side clamp to where this line crosses the global box; not a
-        # no-op: the delta-long stub clip_bars gives an essential class born
-        # past t_exit ends at t_exit + delta here, and is dropped when born at
-        # or past that
-        t_enter = max(min1, min2 - offset)
-        t_exit = min(max1, max2 - offset)
-        table = np.array(bars, dtype=np.float64).reshape(-1, 4)
-        table = table[table[:, 2] == degree]
-        birth = np.maximum(table[:, 0], t_enter)
-        death = np.minimum(table[:, 1], t_exit + fb.grid.delta)
-        keep = death > birth
-        birth, death = birth[keep], death[keep]
+    for offset, table in zip(fb.grid.offsets.tolist(), fb.barcodes):
+        birth, death = table[table[:, 2] == degree, :2].T
         segments = np.column_stack(
             ((birth - min1) / span1, (birth + offset - min2) / span2,
              (death - min1) / span1, (death + offset - min2) / span2)
@@ -152,9 +145,12 @@ def build_features(
 
     All fields share the grid built from the config's global box, so features
     are comparable across samples; grades outside the box are clipped to it.
+    A given grid must be built over that same box.
     """
     if grid is None:
         grid = make_line_grid(cfg.box, num_lines)
+    elif tuple(grid.box) != tuple(cfg.box):
+        raise ParameterError(f"line grid box {grid.box} is not the config box {cfg.box}")
     out = []
     for f in fields:
         if degrees is None:

@@ -1,8 +1,11 @@
 """The per-segment loop renderer, kept as the reference for the per-line one.
 
 render_segments draws each segment in its own Python iteration inside an
-axis-aligned window of eight bandwidths around it; render_mpi builds one
-tuple per bar and renders every line in one call.
+axis-aligned window of eight bandwidths around it; render_mpi reads the
+clipped rows one bar at a time, clamps each again to where its line crosses
+the config's box (births from t_enter, deaths by t_exit + delta) and renders
+every line in one call. clip_bars already applies that clamp, so agreement
+with the per-line renderer, which has none, shows the second clamp is a no-op.
 """
 
 from __future__ import annotations
@@ -67,11 +70,11 @@ def render_mpi(fb: FiberedBarcode, degree: int, cfg: MpiConfig) -> np.ndarray:
         # barcode was computed against the same box)
         t_enter = max(min1, min2 - offset)
         t_exit = min(max1, max2 - offset)
-        for b in bars:
-            if b.degree != degree:
+        for b_birth, b_death, b_degree, _ in bars.tolist():
+            if b_degree != degree:
                 continue
-            birth = max(b.birth, t_enter)
-            death = min(b.death, t_exit + fb.grid.delta)
+            birth = max(b_birth, t_enter)
+            death = min(b_death, t_exit + fb.grid.delta)
             if death <= birth:
                 continue
             segments.append(

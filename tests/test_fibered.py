@@ -3,7 +3,13 @@ import pytest
 
 from glogtda import fibered
 from glogtda.bifiltration import BiGradedField, Line, slice_scalar_field, sup_distance, union_box
-from glogtda.cubical_persistence import betti_oracle, bottleneck, build_complex, compute_persistence
+from glogtda.cubical_persistence import (
+    Bar,
+    betti_oracle,
+    bottleneck,
+    build_complex,
+    compute_persistence,
+)
 from glogtda.errors import ParameterError
 from glogtda.fibered import (
     LineGrid,
@@ -53,11 +59,15 @@ def test_constant_field_single_bar_every_line():
     f = BiGradedField(g1=np.full((4, 4), c1), g2=np.full((4, 4), c2))
     grid = make_line_grid(f.box, 7)
     fb = compute_fibered_barcode(f, grid)
-    for offset, bars in zip(grid.offsets.tolist(), fb.barcodes):
-        assert len(bars) == 1
-        bar = bars[0]
-        assert bar.degree == 0 and bar.was_infinite
-        assert bar.birth == max(c1, c2 - offset)
+    # the two end lines only touch the widened box: the class is born at or
+    # past t_exit + delta there, so the clip leaves it no row
+    assert [len(bars) for bars in fb.barcodes] == [0, 1, 1, 1, 1, 1, 0]
+    for offset, bars in zip(grid.offsets.tolist()[1:-1], fb.barcodes[1:-1]):
+        birth, death, degree, was_infinite = bars[0]
+        assert degree == 0 and was_infinite
+        assert birth == max(c1, c2 - offset)
+        _, t_exit = grid.crossing_interval(offset)
+        assert death == t_exit + grid.delta
 
 
 def test_zero_g2_line_at_origin_reproduces_single_parameter():
@@ -71,7 +81,7 @@ def test_zero_g2_line_at_origin_reproduces_single_parameter():
     single = compute_persistence(build_complex(g1))
     t_enter, t_exit = grid.crossing_interval(0.0)
     expected = clip_bars(single.bars, t_enter, t_exit, grid.delta, (0, 1))
-    assert fb.barcodes[0] == expected
+    assert np.array_equal(fb.barcodes[0], expected)
 
 
 def test_fibered_bars_match_sliced_betti_oracle():
@@ -87,11 +97,9 @@ def test_fibered_bars_match_sliced_betti_oracle():
                 if not (t_enter <= t < t_exit):
                     continue
                 betti = betti_oracle(c, t)
+                birth, death, degree, _ = fb.barcodes[li].T
                 for k in range(2):
-                    alive = sum(
-                        1 for b in fb.barcodes[li]
-                        if b.degree == k and b.birth <= t < b.death
-                    )
+                    alive = np.count_nonzero((degree == k) & (birth <= t) & (t < death))
                     assert alive == betti[k]
 
 
@@ -102,8 +110,7 @@ def test_bar_births_respect_entry_parameter():
     fb = compute_fibered_barcode(f, grid)
     for offset, bars in zip(grid.offsets.tolist(), fb.barcodes):
         t_enter, _ = grid.crossing_interval(offset)
-        for b in bars:
-            assert b.birth >= t_enter - 1e-9
+        assert (bars[:, 0] >= t_enter - 1e-9).all()
 
 
 def test_infinite_bars_clipped_with_flag():
@@ -111,10 +118,41 @@ def test_infinite_bars_clipped_with_flag():
     grid = make_line_grid(f.box, 3)
     fb = compute_fibered_barcode(f, grid)
     mid = len(grid) // 2
-    bar = fb.barcodes[mid][0]
-    assert bar.was_infinite
+    birth, death, _, was_infinite = fb.barcodes[mid][0]
+    assert was_infinite
     t_enter, t_exit = grid.crossing_interval(grid.offsets[mid])
-    assert bar.death == pytest.approx(max(t_exit, bar.birth) + grid.delta)
+    assert death == t_exit + grid.delta
+
+
+def test_clip_bars_contract():
+    rng = np.random.default_rng(12)
+    t_enter, t_exit, delta = 0.25, 0.75, 0.125
+    for _ in range(20):
+        n = 60
+        birth = rng.uniform(-0.5, 1.2, n)  # before t_enter to past t_exit + delta
+        exact = rng.random(n) < 0.4
+        birth[exact] = rng.choice([t_enter, t_exit, t_exit + delta], exact.sum())
+        death = np.where(rng.random(n) < 0.3, np.inf, birth + rng.uniform(0.0, 0.6, n))
+        degree = rng.integers(0, 3, n)
+        bars = tuple(map(Bar, birth.tolist(), death.tolist(), degree.tolist()))
+        out = clip_bars(bars, t_enter, t_exit, delta, (0, 1))
+        assert out.dtype == np.float64 and out.shape[1] == 4
+        with pytest.raises(ValueError):
+            out[:, 0] = 0.0
+        b, d, k, was_inf = out.T
+        assert ((t_enter <= b) & (b < d)).all()
+        assert (d[was_inf == 0] <= t_exit).all()
+        assert (d[was_inf == 1] == t_exit + delta).all()
+        assert set(k.tolist()) <= {0.0, 1.0}
+        assert np.lexsort((d, b, k)).tolist() == list(range(len(out)))
+        # a bar is dropped exactly when its clipped interval is empty
+        clipped = [
+            (max(x.birth, t_enter), t_exit + delta if np.isinf(x.death) else min(x.death, t_exit),
+             x.degree, np.isinf(x.death))
+            for x in bars if x.degree in (0, 1)
+        ]
+        want = sorted((r for r in clipped if r[1] > r[0]), key=lambda r: (r[2], r[0], r[1]))
+        assert out.tolist() == [[b_, d_, float(k_), float(i_)] for b_, d_, k_, i_ in want]
 
 
 def test_coverage_violation_raises_and_allow_clip():
@@ -124,8 +162,8 @@ def test_coverage_violation_raises_and_allow_clip():
         compute_fibered_barcode(f, small)
     fb = compute_fibered_barcode(f, small, allow_clip=True)
     for bars in fb.barcodes:
-        for b in bars:
-            assert b.birth >= small.box[0] - 1e-9 or b.birth >= small.box[1] - 1e-9
+        birth = bars[:, 0]
+        assert ((birth >= small.box[0] - 1e-9) | (birth >= small.box[1] - 1e-9)).all()
 
 
 def test_per_line_stability_of_clipped_barcodes():
@@ -143,10 +181,7 @@ def test_per_line_stability_of_clipped_barcodes():
         fb_h = compute_fibered_barcode(h, grid)
         for li in range(len(grid)):
             for k in (0, 1):
-                bn = bottleneck(
-                    [(b.birth, b.death) for b in fb_f.bars_at(li, k)],
-                    [(b.birth, b.death) for b in fb_h.bars_at(li, k)],
-                )
+                bn = bottleneck(fb_f.bars_at(li, k)[:, :2], fb_h.bars_at(li, k)[:, :2])
                 assert bn <= d + 1e-9
 
 
@@ -164,10 +199,7 @@ def test_per_line_stability_3d():
     fb_h = compute_fibered_barcode(h, grid)
     for li in range(len(grid)):
         for k in (0, 1, 2):
-            bn = bottleneck(
-                [(b.birth, b.death) for b in fb_f.bars_at(li, k)],
-                [(b.birth, b.death) for b in fb_h.bars_at(li, k)],
-            )
+            bn = bottleneck(fb_f.bars_at(li, k)[:, :2], fb_h.bars_at(li, k)[:, :2])
             assert bn <= d + 1e-9
 
 
@@ -185,12 +217,12 @@ def test_monotone_refinement():
             continue
         j = int(matches[0])
         common += 1
-        strip = lambda bars: [(b.birth, b.degree, b.was_infinite) for b in bars]
-        # deltas differ, so compare everything except the delta-stub deaths
-        assert strip(fb_coarse.barcodes[i]) == strip(fb_fine.barcodes[j])
-        for bc, bf in zip(fb_coarse.barcodes[i], fb_fine.barcodes[j]):
-            if not bc.was_infinite:
-                assert bc.death == bf.death
+        bc, bf = fb_coarse.barcodes[i], fb_fine.barcodes[j]
+        # deltas differ, so compare everything except the infinite bars'
+        # deaths, which are t_exit + delta
+        assert np.array_equal(bc[:, [0, 2, 3]], bf[:, [0, 2, 3]])
+        finite = bc[:, 3] == 0
+        assert np.array_equal(bc[finite, 1], bf[finite, 1])
     assert common == len(coarse)
 
 

@@ -7,7 +7,6 @@ from glogtda.bifiltration import BiGradedField, compute_glog
 from glogtda.cubical_persistence import Bar
 from glogtda.errors import FormatError, LengthError, ParameterError
 from glogtda.fibered import (
-    FiberedBar,
     FiberedBarcode,
     clip_bars,
     compute_fibered_barcode,
@@ -29,12 +28,19 @@ import reference_render
 from synthdata import disk_annulus_images
 
 
+def fibered_barcode(grid, rows_per_line, degrees=(0,)):
+    """FiberedBarcode holding the given (birth, death, degree, was_infinite)
+    rows on each line, in clip_bars' array form."""
+    tables = tuple(np.array(rows, dtype=np.float64).reshape(-1, 4) for rows in rows_per_line)
+    return FiberedBarcode(grid, tables, degrees)
+
+
 def single_bar_barcode(birth, death, offset, box, degree=0, num_lines=5):
     grid = make_line_grid(box, num_lines)
     idx = int(np.argmin(np.abs(grid.offsets - offset)))
-    bars = [()] * len(grid)
-    bars[idx] = (FiberedBar(birth, death, degree, False),)
-    return FiberedBarcode(grid, tuple(bars), (degree,)), grid.offsets[idx]
+    rows = [[]] * len(grid)
+    rows[idx] = [(birth, death, degree, False)]
+    return fibered_barcode(grid, rows, (degree,)), grid.offsets[idx]
 
 
 def quadrature_mass(birth, death, offset, cfg, grid_delta, factor=10):
@@ -58,7 +64,7 @@ def quadrature_mass(birth, death, offset, cfg, grid_delta, factor=10):
 
 def test_empty_barcode_renders_zero():
     grid = make_line_grid((0.0, 0.0, 1.0, 1.0), 3)
-    fb = FiberedBarcode(grid, ((), (), ()), (0, 1))
+    fb = fibered_barcode(grid, [[]] * 3, (0, 1))
     cfg = MpiConfig(box=grid.box)
     img = render_mpi(fb, 0, cfg)
     assert img.shape == (50, 50)
@@ -105,17 +111,9 @@ def test_adding_a_bar_is_monotone():
     box = (0.0, 0.0, 1.0, 1.0)
     cfg = MpiConfig(box=box)
     grid = make_line_grid(box, 5)
-    one = FiberedBarcode(grid, ((), (FiberedBar(0.1, 0.5, 0, False),), (), (), ()), (0,))
-    two = FiberedBarcode(
-        grid,
-        (
-            (),
-            (FiberedBar(0.1, 0.5, 0, False),),
-            (FiberedBar(0.2, 0.9, 0, False),),
-            (),
-            (),
-        ),
-        (0,),
+    one = fibered_barcode(grid, [[], [(0.1, 0.5, 0, False)], [], [], []])
+    two = fibered_barcode(
+        grid, [[], [(0.1, 0.5, 0, False)], [(0.2, 0.9, 0, False)], [], []]
     )
     assert (render_mpi(two, 0, cfg) >= render_mpi(one, 0, cfg)).all()
 
@@ -124,38 +122,39 @@ def test_flagged_infinite_bars_render_with_clipped_persistence():
     box = (0.0, 0.0, 1.0, 1.0)
     grid = make_line_grid(box, 5)
     mid = len(grid) // 2
-    bars = [()] * len(grid)
+    rows = [[]] * len(grid)
     t_enter, t_exit = grid.crossing_interval(grid.offsets[mid])
-    bars[mid] = (FiberedBar(t_enter, t_exit + grid.delta, 0, True),)
-    fb = FiberedBarcode(grid, tuple(bars), (0,))
+    rows[mid] = [(t_enter, t_exit + grid.delta, 0, True)]
+    fb = fibered_barcode(grid, rows)
     img = render_mpi(fb, 0, MpiConfig(box=box, bandwidth=0.05))
     assert img.sum() > 0.0
 
 
 def test_image_clamp_shortens_or_drops_stubs_born_past_exit():
-    # clip_bars gives an essential class born past t_exit the stub
-    # [b, b + delta]; the image ends every bar by t_exit + delta
+    # clip_bars ends an essential class born past t_exit at t_exit + delta,
+    # and leaves no row when it is born at or past that; the image draws the
+    # clipped rows as they are
     box = (0.0, 0.0, 1.0, 1.0)
     grid = make_line_grid(box, 50)
     cfg = MpiConfig(box=box, bandwidth=0.05)
     mid = len(grid) // 2
     t_enter, t_exit = grid.crossing_interval(grid.offsets[mid])
 
-    def image(bars):
-        lines = [()] * len(grid)
-        lines[mid] = tuple(bars)
-        return render_mpi(FiberedBarcode(grid, tuple(lines), (0,)), 0, cfg)
+    def image(rows):
+        lines = [[]] * len(grid)
+        lines[mid] = rows
+        return render_mpi(fibered_barcode(grid, lines), 0, cfg)
 
     born = t_exit + grid.delta / 2
     stub = clip_bars([Bar(born, math.inf, 0)], t_enter, t_exit, grid.delta, (0,))
-    assert stub == (FiberedBar(born, born + grid.delta, 0, True),)
-    shortened = image([FiberedBar(born, t_exit + grid.delta, 0, True)])
+    assert stub.tolist() == [[born, t_exit + grid.delta, 0.0, 1.0]]
+    shortened = image([(born, t_exit + grid.delta, 0, True)])
     assert shortened.sum() > 0.0
     assert np.array_equal(image(stub), shortened)
 
     born = t_exit + grid.delta
     stub = clip_bars([Bar(born, math.inf, 0)], t_enter, t_exit, grid.delta, (0,))
-    assert stub == (FiberedBar(born, born + grid.delta, 0, True),)
+    assert stub.shape == (0, 4)
     assert (image(stub) == 0.0).all()
 
 
@@ -180,7 +179,7 @@ def test_per_line_renderer_matches_loop_reference():
 
 def test_render_missing_degree():
     grid = make_line_grid((0.0, 0.0, 1.0, 1.0), 3)
-    fb = FiberedBarcode(grid, ((), (), ()), (0,))
+    fb = fibered_barcode(grid, [[]] * 3)
     with pytest.raises(ParameterError):
         render_mpi(fb, 1, MpiConfig(box=grid.box))
 
@@ -231,6 +230,20 @@ def test_out_of_box_sample_is_clipped_not_rejected():
     wild = BiGradedField(g1=rng.random((5, 5)) * 3.0, g2=rng.random((5, 5)) * 2.0)
     feats = build_features([wild], cfg, num_lines=6)
     assert np.isfinite(feats[0].values).all()
+
+
+def test_grid_over_another_box_is_rejected():
+    # render_mpi draws the bars as clip_bars left them, clipped to the grid's
+    # box, so a grid over any other box would misplace them silently
+    rng = np.random.default_rng(4)
+    f = BiGradedField(g1=rng.random((5, 5)), g2=rng.random((5, 5)))
+    cfg = MpiConfig(box=f.box)
+    min1, min2, max1, max2 = cfg.box
+    same = make_line_grid(cfg.box, 6)
+    assert len(build_features([f], cfg, grid=same)[0]) == 5000
+    for box in ((min1, min2, max1 + 0.5, max2), (min1 - 0.1, min2, max1, max2)):
+        with pytest.raises(ParameterError):
+            build_features([f], cfg, grid=make_line_grid(box, 6))
 
 
 def test_compute_global_box_empty():
