@@ -76,7 +76,7 @@ def compute_glog(
         g1 = v.data.copy()
     else:
         g1 = convolve(v.data, gaussian_kernel(KernelSpec(sigma_gauss, n)))
-    g2 = convolve(v.data, log_kernel(KernelSpec(sigma_log, n, kind="log")))
+    g2 = convolve(v.data, log_kernel(KernelSpec(sigma_log, n)))
     return BiGradedField(g1=g1, g2=g2)
 
 

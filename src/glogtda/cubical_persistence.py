@@ -11,13 +11,15 @@ compute_persistence takes exactly such grades and orders the cells by one
 integer key each (rank of the grade among the vertex grades, dimension,
 anchor). It pairs cells over the two-element field without a boundary-matrix
 reduction in degrees 0 and n-1: numpy finds the apparent pairs (Bauer,
-"Ripser", 2021) from neighbouring keys, union-find pairs degree 0 and, by
-duality, degree n-1 on the dual graph of top cells plus an exterior node
-(Garin et al., "Duality in persistent homology of images", 2020). Only the
-degrees in between (H1 of a 3D grid) reduce columns, and only those of the
-few cells left unpaired, which are the only ones sorted. betti_oracle is a
-deliberately independent check: plain Gaussian elimination ranks of the
-boundary operators of a sublevel subcomplex.
+"Ripser", 2021) from neighbouring keys, and one elder-rule union-find pairs
+degree 0 and, by duality, degree n-1 on the dual graph of top cells plus an
+exterior node (Garin et al., "Duality in persistent homology of images",
+2020), which in 2D skips the edges degree 0 merged. Only the degrees in
+between (H1 of a 3D grid) reduce columns, and only those of the few cells
+left unpaired, which are the only ones sorted. The pairs of all passes
+become bars in one step. betti_oracle is a deliberately independent check:
+plain Gaussian elimination ranks of the boundary operators of a sublevel
+subcomplex.
 """
 
 from __future__ import annotations
@@ -170,20 +172,48 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
+def _elder_rule(node_keys: np.ndarray, links: np.ndarray, link_keys: np.ndarray,
+                link_ends: np.ndarray, apparent: np.ndarray, apparent_ends: np.ndarray,
+                paired: np.ndarray) -> tuple[list[int], list[int]]:
+    """Elder rule: nodes join across the unpaired links in link_keys order,
+    and at each merge the root with the larger node key dies. Apparent nodes
+    start linked to the other end of their partner link, an older node.
+    Returns the dying node ids and the merging link cells, marked paired."""
+    parent = np.arange(node_keys.size)
+    parent[apparent] = apparent_ends.sum(axis=1) - apparent
+    parent = parent.tolist()
+    keys = node_keys.tolist()
+    free = np.flatnonzero(~paired[links])
+    free = free[np.argsort(link_keys[free])]
+    dying, merging = [], []
+    for cell, (a, b) in zip(links[free].tolist(), link_ends[free].tolist()):
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
+            continue
+        if keys[ra] < keys[rb]:
+            ra, rb = rb, ra
+        parent[ra] = rb
+        dying.append(ra)
+        merging.append(cell)
+    paired[merging] = True
+    return dying, merging
+
+
 def compute_persistence(c: CubicalComplex) -> Barcode:
     """Barcode of the sublevel filtration, degrees 0..n-1, over F2.
 
     The grades must be lower-star (PreconditionError otherwise). Cells are
     totally ordered by (grade, dimension, anchor position), one integer key
-    each, so the output is deterministic. Apparent pairs (a cell's youngest
-    face whose oldest coface is that cell) are persistence pairs and are
-    found in bulk. Loops run over the cells left: degree 0 pairs by
-    union-find over the vertices (elder rule), degree n-1 by union-find over
-    the dual graph of top cells plus an exterior node, walked in reverse; the
-    degrees between reduce sparse columns of the negative cells, with
-    apparent partners standing in as pivots. The full complex is
-    contractible, so the only infinite bar is the oldest vertex's.
-    Zero-length pairs are discarded.
+    each, so the output is deterministic. Each pass yields (creator,
+    destroyer) cell pairs: apparent pairs (a cell's youngest face whose
+    oldest coface is that cell) in bulk; degree 0 and degree n-1, on the dual
+    graph of top cells plus an exterior node with negated keys, from one
+    elder-rule union-find (in 2D the dual pass skips the edges degree 0
+    merged, which by duality join nothing there); the degrees between from
+    sparse columns of the negative cells, with apparent partners standing in
+    as pivots. The full complex is contractible, so the only infinite bar is
+    the oldest vertex's. One step turns the pairs into bars and discards the
+    zero-length ones.
     """
     st = c.structure
     n = len(st.dims)
@@ -195,7 +225,7 @@ def compute_persistence(c: CubicalComplex) -> Barcode:
     # rule, which must give back every grade
     values, vertex_rank = np.unique(grades.reshape(st.doubled)[(slice(None, None, 2),) * n],
                                     return_inverse=True)
-    rank = vertex_rank = vertex_rank.reshape(st.dims)
+    rank = vertex_rank.reshape(st.dims)
     for ax in range(n):
         rank = _interleave_max(rank, ax)
     if not np.array_equal(values[rank.ravel()], grades):
@@ -224,58 +254,27 @@ def compute_persistence(c: CubicalComplex) -> Barcode:
     paired = np.zeros(n_cells, dtype=bool)
     paired[lo] = paired[up] = True
     lo_dims = st.cell_dims[lo]
-    keep = grades[up] > grades[lo]
-    bars = list(map(Bar._make, zip(
-        grades[lo[keep]].tolist(), grades[up[keep]].tolist(), lo_dims[keep].tolist()
-    )))
+    pairs = [(lo, up)]
 
-    # --- degree 0: union-find over the vertices, elder rule ------------------
-    # an apparent vertex dies into the other end of its edge
+    # --- degree 0: vertices joined across edges ------------------------------
+    # an apparent vertex dies into the other end of its edge; the oldest
+    # vertex pairs with the sentinel cell n_cells, of grade +inf
     vertices, edges = st.cells_of_dim[0], st.cells_of_dim[1]
-    v = index[lo[lo_dims == 0]]
-    parent = np.arange(vertices.size)
-    parent[v] = st.edge_ends[index[up[lo_dims == 0]]].sum(axis=1) - v
-    parent = parent.tolist()
-    vertex_keys = key[vertices].tolist()
-    vertex_grades = grades[vertices].tolist()
-    free = np.flatnonzero(~paired[edges])
-    free = free[np.argsort(key[edges[free]])]
-    for g, (u, w) in zip(grades[edges[free]].tolist(), st.edge_ends[free].tolist()):
-        ru, rw = _find(parent, u), _find(parent, w)
-        if ru == rw:
-            continue
-        if vertex_keys[ru] > vertex_keys[rw]:  # the younger root dies
-            ru, rw = rw, ru
-        parent[rw] = ru
-        if g > vertex_grades[rw]:
-            bars.append(Bar(vertex_grades[rw], g, 0))
-    bars.append(Bar(vertex_grades[int(vertex_rank.argmin())], INF, 0))
+    at_0 = lo_dims == 0
+    dying, merging = _elder_rule(key[vertices], edges, key[edges], st.edge_ends,
+                                 index[lo[at_0]], st.edge_ends[index[up[at_0]]], paired)
+    pairs += [(vertices[dying], merging), ([vertices[vertex_rank.argmin()]], [n_cells])]
 
-    # --- degree n-1: dual union-find, (n-1)-cells in reverse order -----------
-    # an apparent top cell dies into the other side (a top cell or the
-    # exterior) of its youngest face
+    # --- degree n-1: top cells and the exterior joined across (n-1)-cells ----
+    # in reverse key order; an apparent top cell dies into the other side of
+    # its youngest face, and the exterior is the oldest node
     if n >= 2:
         tops, walls = st.cells_of_dim[n], st.cells_of_dim[n - 1]
-        t = index[up[lo_dims == n - 1]]
-        parent = np.arange(tops.size + 1)
-        parent[t] = st.wall_sides[index[lo[lo_dims == n - 1]]].sum(axis=1) - t
-        parent = parent.tolist()
-        top_keys = key[tops].tolist() + [_NO_COFACE]
-        top_grades = grades[tops].tolist()
-        free = np.flatnonzero(~paired[walls])
-        free = free[np.argsort(key[walls[free]])[::-1]]
-        cells = walls[free]
-        for cell, g, (a, b) in zip(cells.tolist(), grades[cells].tolist(),
-                                   st.wall_sides[free].tolist()):
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra == rb:
-                continue
-            if top_keys[ra] > top_keys[rb]:  # the younger root dies
-                ra, rb = rb, ra
-            parent[ra] = rb
-            paired[cell] = True
-            if top_grades[ra] > g:
-                bars.append(Bar(g, top_grades[ra], n - 1))
+        at_top = lo_dims == n - 1
+        dying, merging = _elder_rule(-np.append(key[tops], _NO_COFACE), walls, -key[walls],
+                                     st.wall_sides, index[up[at_top]],
+                                     st.wall_sides[index[lo[at_top]]], paired)
+        pairs.append((merging, tops[dying]))
 
     # --- degrees n-2..1: sparse reduction of the unpaired (negative) cells ---
     # columns are sets of face keys; partner[f] is the row of partner_faces
@@ -289,7 +288,8 @@ def compute_persistence(c: CubicalComplex) -> Barcode:
         cols = st.cells_of_dim[k]
         cols = cols[~paired[cols]]
         cols = cols[np.argsort(key[cols])]
-        for g, row in zip(grades[cols].tolist(), key[st.faces[cols]].tolist()):
+        creators = []
+        for row in key[st.faces[cols]].tolist():
             col = set(row)
             col.discard(-1)
             while True:
@@ -303,14 +303,19 @@ def compute_persistence(c: CubicalComplex) -> Barcode:
                     other.discard(-1)
                 col ^= other
             pivots[p] = col
-            creator = p % n_cells
-            paired[creator] = True
-            birth = float(grades[creator])
-            if g > birth:
-                bars.append(Bar(birth, g, k - 1))
+            creators.append(p % n_cells)
+        paired[creators] = True
+        pairs.append((creators, cols))
 
-    bars.sort(key=lambda b: (b.degree, b.birth, b.death))
-    return Barcode(tuple(bars))
+    # --- pairs to bars ---------------------------------------------------------
+    creators, destroyers = (np.concatenate(cells).astype(np.int64) for cells in zip(*pairs))
+    grades = np.append(grades, INF)
+    birth, death, degree = grades[creators], grades[destroyers], st.cell_dims[creators]
+    keep = np.flatnonzero(death > birth)
+    keep = keep[np.lexsort((death[keep], birth[keep], degree[keep]))]
+    return Barcode(tuple(map(Bar._make, zip(
+        birth[keep].tolist(), death[keep].tolist(), degree[keep].tolist()
+    ))))
 
 
 def betti_oracle(c: CubicalComplex, t: float) -> list[int]:
@@ -375,15 +380,13 @@ def component_count(c: CubicalComplex, t: float) -> int:
 # --- bottleneck distance ----------------------------------------------------
 
 
-def _split_bars(bars) -> tuple[list[tuple[float, float]], list[float]]:
-    finite, infinite = [], []
-    for b in bars:
-        birth, death = float(b[0]), float(b[1])
-        if math.isinf(death):
-            infinite.append(birth)
-        else:
-            finite.append((birth, death))
-    return finite, infinite
+def _split_bars(bars) -> tuple[np.ndarray, np.ndarray]:
+    """Finite (birth, death) rows and the births of the infinite bars."""
+    if len(bars) == 0:
+        return np.empty((0, 2)), np.empty(0)
+    rows = np.asarray(bars, dtype=np.float64)[:, :2]
+    infinite = np.isinf(rows[:, 1])
+    return rows[~infinite], rows[infinite, 0]
 
 
 def _covers(adj: np.ndarray, required: np.ndarray) -> bool:
@@ -445,23 +448,16 @@ def bottleneck(bars_a: Sequence, bars_b: Sequence) -> float:
     matchings of the max of matched sup-norm distances and unmatched
     half-persistences, found by binary search over the candidate distances.
     """
-    fa, ia = _split_bars(bars_a)
-    fb, ib = _split_bars(bars_b)
-    if len(ia) != len(ib):
+    A, ia = _split_bars(bars_a)
+    B, ib = _split_bars(bars_b)
+    if ia.size != ib.size:
         return INF
-    cost_inf = 0.0
-    if ia:
-        cost_inf = max(abs(x - y) for x, y in zip(sorted(ia), sorted(ib)))
-    if not fa and not fb:
-        return cost_inf
-
-    A = np.asarray(fa, dtype=np.float64).reshape(-1, 2)
-    B = np.asarray(fb, dtype=np.float64).reshape(-1, 2)
+    cost_inf = float(np.abs(np.sort(ia) - np.sort(ib)).max(initial=0.0))
     half_a = (A[:, 1] - A[:, 0]) / 2.0
     half_b = (B[:, 1] - B[:, 0]) / 2.0
-    if len(fa) == 0:
+    if len(A) == 0:
         return max(cost_inf, float(half_b.max(initial=0.0)))
-    if len(fb) == 0:
+    if len(B) == 0:
         return max(cost_inf, float(half_a.max(initial=0.0)))
 
     D = np.maximum(

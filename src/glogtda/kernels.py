@@ -36,13 +36,10 @@ class KernelSpec:
     sigma: float
     dims_n: int
     radius: int | None = None
-    kind: str = "gaussian"
 
     def __post_init__(self):
         if self.dims_n not in (2, 3):
             raise ParameterError(f"dims_n must be 2 or 3, got {self.dims_n}")
-        if self.kind not in ("gaussian", "log"):
-            raise ParameterError(f"kind must be 'gaussian' or 'log', got {self.kind!r}")
         if self.sigma < 0:
             raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
         if self.radius is None and self.sigma > 0:
@@ -58,7 +55,6 @@ class DiscreteKernel:
     dims_n: int
     radius: int
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -82,7 +78,7 @@ def gaussian_kernel(spec: KernelSpec) -> DiscreteKernel:
     r2 = _squared_offsets(spec.radius, spec.dims_n)
     w = np.exp(-r2 / (2.0 * spec.sigma**2))
     w /= w.sum()
-    return DiscreteKernel(spec.dims_n, spec.radius, w, "gaussian")
+    return DiscreteKernel(spec.dims_n, spec.radius, w)
 
 
 def log_kernel(spec: KernelSpec) -> DiscreteKernel:
@@ -93,20 +89,7 @@ def log_kernel(spec: KernelSpec) -> DiscreteKernel:
     r2 = _squared_offsets(spec.radius, spec.dims_n)
     w = (r2 - spec.dims_n * s2) / (s2 * s2) * np.exp(-r2 / (2.0 * s2))
     w -= w.mean()
-    return DiscreteKernel(spec.dims_n, spec.radius, w, "log")
-
-
-def _reflect_indices(length: int, radius: int) -> np.ndarray:
-    # symmetric fold: -1 -> 0, length -> length-1, applied until in range
-    idx = []
-    for i in range(-radius, length + radius):
-        while i < 0 or i >= length:
-            if i < 0:
-                i = -1 - i
-            if i >= length:
-                i = 2 * length - 1 - i
-        idx.append(i)
-    return np.array(idx, dtype=np.intp)
+    return DiscreteKernel(spec.dims_n, spec.radius, w)
 
 
 def convolve(volume: np.ndarray, kernel: DiscreteKernel) -> np.ndarray:
@@ -120,7 +103,7 @@ def convolve(volume: np.ndarray, kernel: DiscreteKernel) -> np.ndarray:
             f"volume is {arr.ndim}D but kernel expects {kernel.dims_n}D"
         )
     r = kernel.radius
-    padded = arr[np.ix_(*[_reflect_indices(d, r) for d in arr.shape])]
+    padded = np.pad(arr, r, mode="symmetric")
     out = np.zeros_like(arr)
     for offset in np.ndindex(kernel.weights.shape):
         w = kernel.weights[offset]

@@ -157,17 +157,14 @@ def train(
         raise ParameterError("train and validation splits must be nonempty")
     rng = np.random.default_rng(cfg.rng_seed)
 
-    params = [p.copy() for p in (*model.weights, *model.biases)]
-    n_w = len(model.weights)
+    model = model.copy()  # trained in place
+    params = (*model.weights, *model.biases)
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     step = 0
 
-    def as_model() -> MlpModel:
-        return MlpModel(tuple(params[:n_w]), tuple(params[n_w:]))
-
     best_auc = -np.inf
-    best_model = as_model().copy()
+    best_model = model.copy()
     stale = 0
     history = TrainHistory([])
     for epoch in range(1, cfg.epochs + 1):
@@ -175,25 +172,24 @@ def train(
         losses, weights_of = [], []
         for start in range(0, len(perm), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            cur = as_model()
-            loss, gw, gb = loss_and_grads(cur, train_x[idx], train_y[idx])
+            loss, gw, gb = loss_and_grads(model, train_x[idx], train_y[idx])
             losses.append(loss)
             weights_of.append(len(idx))
             step += 1
             bc1 = 1.0 - cfg.beta1**step
             bc2 = 1.0 - cfg.beta2**step
-            for i, g in enumerate((*gw, *gb)):
-                m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g
-                v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * (g * g)
-                params[i] -= (
-                    cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.eps)
-                )
+            for p, mp, vp, g in zip(params, m, v, (*gw, *gb)):
+                mp *= cfg.beta1
+                mp += (1.0 - cfg.beta1) * g
+                vp *= cfg.beta2
+                vp += (1.0 - cfg.beta2) * (g * g)
+                p -= cfg.learning_rate * (mp / bc1) / (np.sqrt(vp / bc2) + cfg.eps)
         train_loss = float(np.average(losses, weights=weights_of))
-        val_auc = auc(forward(as_model(), val_x), val_y)
+        val_auc = auc(forward(model, val_x), val_y)
         history.rows.append((epoch, train_loss, val_auc))
         if val_auc >= best_auc:
             # ties keep the more-trained model; only strict gains reset patience
-            best_model = as_model().copy()
+            best_model = model.copy()
         if val_auc > best_auc:
             best_auc = val_auc
             stale = 0

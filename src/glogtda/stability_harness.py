@@ -125,7 +125,7 @@ def run_stability_suite(
         lip_gauss = lipschitz_constant(gaussian_kernel(KernelSpec(sigma_gauss, n)))
     else:
         lip_gauss = 1.0  # identity path
-    lip_log = lipschitz_constant(log_kernel(KernelSpec(sigma_log, n, kind="log")))
+    lip_log = lipschitz_constant(log_kernel(KernelSpec(sigma_log, n)))
 
     # tightness witness: a constant shift passes through the mass-1 branch
     # unchanged, so the observed/bound ratio on that branch is 1 up to rounding

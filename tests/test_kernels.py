@@ -79,7 +79,7 @@ def test_gaussian_radial_decay_and_symmetry():
 def test_log_raw_center_values():
     # raw sample at the origin is -n / sigma^2 before mean correction
     for n, expected in ((2, -2.0), (3, -3.0)):
-        spec = KernelSpec(1.0, n, kind="log")
+        spec = KernelSpec(1.0, n)
         k = log_kernel(spec)
         r = k.radius
         side = 2 * r + 1
@@ -93,14 +93,14 @@ def test_log_raw_center_values():
 
 
 def test_log_sums_to_zero():
-    k = log_kernel(KernelSpec(1.0, 2, radius=4, kind="log"))
+    k = log_kernel(KernelSpec(1.0, 2, radius=4))
     assert abs(k.weights.sum()) <= 1e-12
-    k3 = log_kernel(KernelSpec(1.0, 3, kind="log"))
+    k3 = log_kernel(KernelSpec(1.0, 3))
     assert abs(k3.weights.sum()) <= 1e-12
 
 
 def test_log_symmetry():
-    k = log_kernel(KernelSpec(1.0, 2, kind="log"))
+    k = log_kernel(KernelSpec(1.0, 2))
     w = k.weights
     assert np.allclose(w, w[::-1, :]) and np.allclose(w, w[:, ::-1])
     assert np.allclose(w, w.T)
@@ -110,7 +110,7 @@ def test_sigma_validation():
     with pytest.raises(ParameterError):
         gaussian_kernel(KernelSpec(0.0, 2))
     with pytest.raises(ParameterError):
-        log_kernel(KernelSpec(0.0, 2, kind="log"))
+        log_kernel(KernelSpec(0.0, 2))
     with pytest.raises(ParameterError):
         KernelSpec(-1.0, 2)
     with pytest.raises(ParameterError):
@@ -124,7 +124,7 @@ def test_convolve_constant_eigenfunction():
 
 
 def test_convolve_constant_log_zero():
-    k = log_kernel(KernelSpec(1.0, 2, kind="log"))
+    k = log_kernel(KernelSpec(1.0, 2))
     out = convolve(np.full((6, 6), 0.7), k)
     assert np.abs(out).max() <= 1e-12
 
@@ -144,7 +144,7 @@ def test_convolve_matches_oracle_random():
     img = rng.random((6, 7))
     for k in (
         gaussian_kernel(KernelSpec(1.0, 2, radius=2)),
-        log_kernel(KernelSpec(1.0, 2, kind="log")),
+        log_kernel(KernelSpec(1.0, 2)),
     ):
         np.testing.assert_allclose(convolve(img, k), conv_oracle(img, k), atol=1e-12)
 
@@ -166,7 +166,7 @@ def test_convolve_3d_matches_oracle():
 def test_convolve_linearity():
     rng = np.random.default_rng(8)
     u, v = rng.random((5, 5)), rng.random((5, 5))
-    k = log_kernel(KernelSpec(1.0, 2, kind="log"))
+    k = log_kernel(KernelSpec(1.0, 2))
     lhs = convolve(2.5 * u - 0.5 * v, k)
     rhs = 2.5 * convolve(u, k) - 0.5 * convolve(v, k)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
@@ -183,7 +183,7 @@ def test_lipschitz_constant():
     assert abs(lipschitz_constant(g) - 1.0) <= 1e-12
     w = np.zeros((3, 3))
     w[0, 1], w[2, 1] = 1.0, -1.0
-    k = DiscreteKernel(2, 1, w, "log")
+    k = DiscreteKernel(2, 1, w)
     assert lipschitz_constant(k) == 2.0
 
 
@@ -198,7 +198,7 @@ def test_discrete_stability_bound_and_tightness():
     rng = np.random.default_rng(9)
     for k in (
         gaussian_kernel(KernelSpec(0.5, 2)),
-        log_kernel(KernelSpec(1.0, 2, kind="log")),
+        log_kernel(KernelSpec(1.0, 2)),
     ):
         lip = lipschitz_constant(k)
         for _ in range(20):

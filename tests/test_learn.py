@@ -181,6 +181,39 @@ def test_first_adam_step_closed_form():
         np.testing.assert_allclose(p1, want, rtol=1e-12, atol=1e-15)
 
 
+def test_train_equals_textbook_adam_loop():
+    # constant validation scores tie every epoch, so train returns the model
+    # after its last step: 3 epochs of 4 batches, the last one short
+    x, y = separable_data(30, 5, 40)
+    val_x, val_y = np.zeros((2, 5)), np.array([0, 1])
+    cfg = TrainConfig(epochs=3, patience=3, batch_size=8, rng_seed=41)
+    m0 = init_model((5, 256, 128, 64, 2), seed=42)
+    trained, history = train(m0, x, y, val_x, val_y, cfg)
+    assert len(history.rows) == 3
+
+    params = [p.copy() for p in m0.weights + m0.biases]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(cfg.rng_seed)
+    t = 0
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(x))
+        for start in range(0, len(x), cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            model = MlpModel(tuple(params[:4]), tuple(params[4:]))
+            _, gw, gb = loss_and_grads(model, x[idx], y[idx])
+            t += 1
+            for i, g in enumerate(gw + gb):
+                m[i] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
+                v[i] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g**2
+                m_hat = m[i] / (1 - cfg.beta1**t)
+                v_hat = v[i] / (1 - cfg.beta2**t)
+                params[i] = params[i] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    assert t == 12
+    for got, want in zip(trained.weights + trained.biases, params):
+        assert np.array_equal(got, want)
+
+
 def test_training_determinism():
     x, y = separable_data(60, 5, 13)
     cfg = TrainConfig(epochs=5, patience=5, rng_seed=14)
