@@ -8,7 +8,6 @@ rasterized into persistence images, and classified with a small MLP.
 
 from .bifiltration import (
     BiGradedField,
-    Line,
     compute_glog,
     slice_scalar_field,
     sup_distance,

@@ -51,13 +51,6 @@ class BiGradedField:
         )
 
 
-@dataclass(frozen=True)
-class Line:
-    """The line {(t, t + offset)} in the (g1, g2) plane; direction fixed (1, 1)."""
-
-    offset: float
-
-
 def compute_glog(
     v: Volume, sigma_gauss: float, sigma_log: float
 ) -> BiGradedField:
@@ -80,13 +73,14 @@ def compute_glog(
     return BiGradedField(g1=g1, g2=g2)
 
 
-def slice_scalar_field(f: BiGradedField, line: Line) -> np.ndarray:
-    """Scalar field whose sublevel sets restrict the bifiltration to ``line``.
+def slice_scalar_field(f: BiGradedField, offset: float) -> np.ndarray:
+    """Scalar field whose sublevel sets restrict the bifiltration to the line
+    {(t, t + offset)} of direction (1, 1) in the (g1, g2) plane.
 
     out[x] = max(g1[x], g2[x] - offset): the voxel satisfies g1 <= t and
     g2 <= t + offset exactly when out[x] <= t.
     """
-    return np.maximum(f.g1, f.g2 - line.offset)
+    return np.maximum(f.g1, f.g2 - offset)
 
 
 def sup_distance(f: BiGradedField, h: BiGradedField) -> float:

@@ -389,42 +389,6 @@ def _split_bars(bars) -> tuple[np.ndarray, np.ndarray]:
     return rows[~infinite], rows[infinite, 0]
 
 
-def _covers(adj: np.ndarray, required: np.ndarray) -> bool:
-    """Whether one matching of the bipartite graph adj (rows to columns)
-    covers every required row.
-
-    Kuhn's search: a matched row stays matched, so this holds exactly when an
-    augmenting path exists from each required row in turn.
-    """
-    nbrs = [np.flatnonzero(row).tolist() for row in adj]
-    match_col = [-1] * adj.shape[1]
-
-    def augment(root) -> bool:
-        # depth-first search for an augmenting path on an explicit stack, so
-        # long paths cannot hit the recursion limit; path[i] is the column
-        # through which stack[i + 1] was reached
-        seen = [False] * adj.shape[1]
-        stack = [(root, iter(nbrs[root]))]
-        path = []
-        while stack:
-            v = next((v for v in stack[-1][1] if not seen[v]), None)
-            if v is None:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            seen[v] = True
-            if match_col[v] == -1:
-                for (w, _), x in zip(stack, path + [v]):
-                    match_col[x] = w
-                return True
-            path.append(v)
-            stack.append((match_col[v], iter(nbrs[match_col[v]])))
-        return False
-
-    return all(augment(u) for u in np.flatnonzero(required).tolist())
-
-
 def _matching_feasible(adj: np.ndarray, drop_a: np.ndarray, drop_b: np.ndarray) -> bool:
     """Perfect matching test on the diagonal-augmented bar graph.
 
@@ -436,7 +400,19 @@ def _matching_feasible(adj: np.ndarray, drop_a: np.ndarray, drop_b: np.ndarray) 
     dropped, and by Mendelsohn-Dulmage exactly when one matching covers those
     of the first barcode and another those of the second.
     """
-    return _covers(adj, ~drop_a) and _covers(adj.T, ~drop_b)
+    # imported here, not at module top: feature extraction never compares
+    # barcodes and should not pay scipy's import time and memory
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    def covers(rows: np.ndarray) -> bool:
+        # Hopcroft-Karp; a required row without a partner is left at -1
+        indptr = np.concatenate([[0], np.cumsum(rows.sum(axis=1))])
+        graph = csr_array((np.ones(indptr[-1], dtype=np.int8), np.nonzero(rows)[1], indptr),
+                          shape=rows.shape)
+        return bool((maximum_bipartite_matching(graph, perm_type="column") >= 0).all())
+
+    return covers(adj[~drop_a]) and covers(adj.T[~drop_b])
 
 
 def bottleneck(bars_a: Sequence, bars_b: Sequence) -> float:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bifiltration import BiGradedField, Box, Line, slice_scalar_field
+from .bifiltration import BiGradedField, Box, slice_scalar_field
 from .cubical_persistence import Bar, build_complex, compute_persistence
 from .errors import ParameterError
 
@@ -153,7 +153,7 @@ def compute_fibered_barcode(
         )
     barcodes = []
     for offset in grid.offsets.tolist():
-        barcode = compute_persistence(build_complex(slice_scalar_field(f, Line(offset))))
+        barcode = compute_persistence(build_complex(slice_scalar_field(f, offset)))
         t_enter, t_exit = grid.crossing_interval(offset)
         barcodes.append(clip_bars(barcode.bars, t_enter, t_exit, grid.delta, degrees))
     return FiberedBarcode(grid, tuple(barcodes), tuple(sorted(degrees)))

@@ -31,7 +31,7 @@ def default_radius(sigma: float) -> int:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Parameters of a sampled kernel. sigma == 0 is the identity sentinel."""
+    """Parameters of a sampled kernel."""
 
     sigma: float
     dims_n: int
@@ -40,11 +40,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.dims_n not in (2, 3):
             raise ParameterError(f"dims_n must be 2 or 3, got {self.dims_n}")
-        if self.sigma < 0:
-            raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
-        if self.radius is None and self.sigma > 0:
+        if self.sigma <= 0:
+            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
+        if self.radius is None:
             object.__setattr__(self, "radius", default_radius(self.sigma))
-        if self.sigma > 0 and self.radius < 1:
+        if self.radius < 1:
             raise ParameterError("radius must be >= 1 for a sampled kernel")
 
 
@@ -73,8 +73,6 @@ def _squared_offsets(radius: int, n: int) -> np.ndarray:
 
 def gaussian_kernel(spec: KernelSpec) -> DiscreteKernel:
     """Sample G at integer offsets and normalize the weights to sum to 1."""
-    if spec.sigma <= 0:
-        raise ParameterError("gaussian_kernel needs sigma > 0 (sigma=0 means identity)")
     r2 = _squared_offsets(spec.radius, spec.dims_n)
     w = np.exp(-r2 / (2.0 * spec.sigma**2))
     w /= w.sum()
@@ -83,8 +81,6 @@ def gaussian_kernel(spec: KernelSpec) -> DiscreteKernel:
 
 def log_kernel(spec: KernelSpec) -> DiscreteKernel:
     """Sample Lap G at integer offsets, then subtract the mean so the sum is 0."""
-    if spec.sigma <= 0:
-        raise ParameterError("log_kernel needs sigma > 0")
     s2 = spec.sigma**2
     r2 = _squared_offsets(spec.radius, spec.dims_n)
     w = (r2 - spec.dims_n * s2) / (s2 * s2) * np.exp(-r2 / (2.0 * s2))

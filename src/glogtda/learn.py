@@ -26,6 +26,11 @@ MAGIC_MODEL = b"GLM1"
 
 HIDDEN_WIDTHS = (256, 128, 64)
 
+# Adam's moment decay rates and denominator guard (Kingma and Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class MlpModel:
@@ -49,9 +54,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     patience: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -176,14 +178,14 @@ def train(
             losses.append(loss)
             weights_of.append(len(idx))
             step += 1
-            bc1 = 1.0 - cfg.beta1**step
-            bc2 = 1.0 - cfg.beta2**step
+            bc1 = 1.0 - ADAM_BETA1**step
+            bc2 = 1.0 - ADAM_BETA2**step
             for p, mp, vp, g in zip(params, m, v, (*gw, *gb)):
-                mp *= cfg.beta1
-                mp += (1.0 - cfg.beta1) * g
-                vp *= cfg.beta2
-                vp += (1.0 - cfg.beta2) * (g * g)
-                p -= cfg.learning_rate * (mp / bc1) / (np.sqrt(vp / bc2) + cfg.eps)
+                mp *= ADAM_BETA1
+                mp += (1.0 - ADAM_BETA1) * g
+                vp *= ADAM_BETA2
+                vp += (1.0 - ADAM_BETA2) * (g * g)
+                p -= cfg.learning_rate * (mp / bc1) / (np.sqrt(vp / bc2) + ADAM_EPS)
         train_loss = float(np.average(losses, weights=weights_of))
         val_auc = auc(forward(model, val_x), val_y)
         history.rows.append((epoch, train_loss, val_auc))

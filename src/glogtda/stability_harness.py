@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bifiltration import BiGradedField, Line, compute_glog, slice_scalar_field, sup_distance, union_box
+from .bifiltration import BiGradedField, compute_glog, slice_scalar_field, sup_distance, union_box
 from .cubical_persistence import bottleneck, build_complex, compute_persistence
 from .errors import ParameterError
 from .fibered import clip_bars, compute_fibered_barcode, make_line_grid
@@ -161,9 +161,8 @@ def run_stability_suite(
         max_bn = {k: 0.0 for k in range(n)}
         lines_ok = True
         for offset in grid.offsets.tolist():
-            line = Line(offset)
-            bc1 = compute_persistence(build_complex(slice_scalar_field(f1, line)))
-            bc2 = compute_persistence(build_complex(slice_scalar_field(f2, line)))
+            bc1 = compute_persistence(build_complex(slice_scalar_field(f1, offset)))
+            bc2 = compute_persistence(build_complex(slice_scalar_field(f2, offset)))
             for degree in range(n):
                 d = bottleneck(bc1.at_degree(degree), bc2.at_degree(degree))
                 max_bn[degree] = max(max_bn[degree], d)
@@ -236,17 +235,6 @@ def _random_patch(rng, dims, margin=1, lo=2, hi=4):
     return (slice(r0, r0 + size[0]), slice(c0, c0 + size[1]))
 
 
-def _chebyshev_separation(a, b) -> int:
-    def gap(sa, sb):
-        if sa.start >= sb.stop:
-            return sa.start - sb.stop + 1
-        if sb.start >= sa.stop:
-            return sb.start - sa.stop + 1
-        return 0
-
-    return max(gap(a[0], b[0]), gap(a[1], b[1]))
-
-
 def disjoint_support_pair(rng, dims=(12, 12), min_separation=2):
     """Two positive patches whose Chebyshev distance is >= min_separation.
 
@@ -255,13 +243,14 @@ def disjoint_support_pair(rng, dims=(12, 12), min_separation=2):
     condition under which the per-line modules decompose.
     """
     for _ in range(200):
+        g1 = np.zeros(dims)
+        g2 = np.zeros(dims)
         pa = _random_patch(rng, dims)
         pb = _random_patch(rng, dims)
-        if _chebyshev_separation(pa, pb) >= min_separation:
-            g1 = np.zeros(dims)
-            g2 = np.zeros(dims)
-            g1[pa] = rng.uniform(0.2, 1.0, (pa[0].stop - pa[0].start, pa[1].stop - pa[1].start))
-            g2[pb] = rng.uniform(0.2, 1.0, (pb[0].stop - pb[0].start, pb[1].stop - pb[1].start))
+        g1[pa] = g2[pb] = 1.0  # the supports; values are drawn once they are separated
+        if _supports_separated(g1, g2, min_separation):
+            g1[pa] = rng.uniform(0.2, 1.0, g1[pa].shape)
+            g2[pb] = rng.uniform(0.2, 1.0, g2[pb].shape)
             return g1, g2
     raise ParameterError("could not sample separated patches; grid too small")
 

@@ -3,7 +3,6 @@ import pytest
 
 from glogtda.bifiltration import (
     BiGradedField,
-    Line,
     compute_glog,
     slice_scalar_field,
     sup_distance,
@@ -49,15 +48,15 @@ def test_log_sign_pattern_on_bright_block():
 
 def test_slice_values():
     f = BiGradedField(g1=np.full((2, 2), 0.2), g2=np.full((2, 2), 0.5))
-    assert slice_scalar_field(f, Line(0.0))[0, 0] == 0.5
-    assert slice_scalar_field(f, Line(0.5))[0, 0] == pytest.approx(0.2)
+    assert slice_scalar_field(f, 0.0)[0, 0] == 0.5
+    assert slice_scalar_field(f, 0.5)[0, 0] == pytest.approx(0.2)
 
 
 def test_slice_sublevel_equivalence():
     rng = np.random.default_rng(1)
     f = BiGradedField(g1=rng.random((4, 4)), g2=rng.uniform(-1, 1, (4, 4)))
     for b in (-0.7, 0.0, 0.4):
-        out = slice_scalar_field(f, Line(b))
+        out = slice_scalar_field(f, b)
         for t in np.linspace(-1.2, 1.2, 20):
             want = (f.g1 <= t) & (f.g2 <= t + b)
             np.testing.assert_array_equal(out <= t, want)
@@ -66,7 +65,7 @@ def test_slice_sublevel_equivalence():
 def test_slice_monotone_nested():
     rng = np.random.default_rng(2)
     f = BiGradedField(g1=rng.random((5, 5)), g2=rng.random((5, 5)))
-    out = slice_scalar_field(f, Line(0.3))
+    out = slice_scalar_field(f, 0.3)
     prev = None
     for t in np.sort(out.ravel()):
         cur = out <= t
@@ -104,7 +103,7 @@ def test_slice_is_lipschitz_in_field():
     d = sup_distance(f, h)
     for b in (-0.5, 0.0, 1.0):
         gap = np.abs(
-            slice_scalar_field(f, Line(b)) - slice_scalar_field(h, Line(b))
+            slice_scalar_field(f, b) - slice_scalar_field(h, b)
         ).max()
         assert gap <= d + 1e-12
 

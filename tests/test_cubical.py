@@ -1,12 +1,16 @@
 import inspect
 import itertools
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from glogtda.bifiltration import Line, compute_glog, slice_scalar_field
+import glogtda
+from glogtda.bifiltration import compute_glog, slice_scalar_field
 from glogtda.cubical_persistence import (
     Bar,
     CubicalComplex,
@@ -309,7 +313,7 @@ def test_engine_matches_bitset_reference_on_smoothed_volume_slices(case):
         field = compute_glog(normalize(Volume(rng.integers(0, 256, (16, 16, 16)))), 1.5, 1.0)
     grid = make_line_grid(field.box, 50)
     for offset in grid.offsets[[12, 25, 37]]:
-        c = build_complex(slice_scalar_field(field, Line(float(offset))))
+        c = build_complex(slice_scalar_field(field, float(offset)))
         assert compute_persistence(c) == reference_persistence.compute_persistence(c)
 
 
@@ -430,6 +434,25 @@ def test_bottleneck_long_augmenting_paths_need_no_recursion():
         assert bottleneck(a, b) == 0.5
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_extraction_leaves_scipy_unimported():
+    # scipy's import time and memory would land on every extraction run, which
+    # never compares barcodes; only bottleneck may load it
+    script = """
+import sys
+import numpy as np
+import glogtda
+rng = np.random.default_rng(0)
+f = glogtda.compute_glog(glogtda.Volume(rng.random((8, 8))), 0.5, 1.0)
+glogtda.build_features([f], glogtda.MpiConfig(f.box, resolution=(8, 8)), num_lines=4)
+assert not [m for m in sys.modules if m.startswith("scipy")], sorted(sys.modules)
+assert glogtda.bottleneck([(0.0, 1.0)], [(0.0, 1.5)]) == 0.5
+assert "scipy.sparse.csgraph" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(glogtda.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- export ---------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glogtda import fibered
-from glogtda.bifiltration import BiGradedField, Line, slice_scalar_field, sup_distance, union_box
+from glogtda.bifiltration import BiGradedField, slice_scalar_field, sup_distance, union_box
 from glogtda.cubical_persistence import (
     Bar,
     betti_oracle,
@@ -91,7 +91,7 @@ def test_fibered_bars_match_sliced_betti_oracle():
         grid = make_line_grid(f.box, 9)
         fb = compute_fibered_barcode(f, grid)
         for li, offset in enumerate(grid.offsets.tolist()):
-            c = build_complex(slice_scalar_field(f, Line(offset)))
+            c = build_complex(slice_scalar_field(f, offset))
             t_enter, t_exit = grid.crossing_interval(offset)
             for t in np.unique(c.grades):
                 if not (t_enter <= t < t_exit):

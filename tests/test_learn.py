@@ -9,6 +9,9 @@ from glogtda.errors import (
     UndefinedMetricError,
 )
 from glogtda.learn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     MlpModel,
     TrainConfig,
     accuracy,
@@ -176,7 +179,7 @@ def test_first_adam_step_closed_form():
     for p0, g, p1 in zip(
         m0.weights + m0.biases, gw + gb, trained.weights + trained.biases
     ):
-        want = p0 - cfg.learning_rate * g / (np.sqrt(g * g) + cfg.eps)
+        want = p0 - cfg.learning_rate * g / (np.sqrt(g * g) + ADAM_EPS)
         # bias-correction factors cancel only up to double rounding (1 ulp)
         np.testing.assert_allclose(p1, want, rtol=1e-12, atol=1e-15)
 
@@ -204,11 +207,11 @@ def test_train_equals_textbook_adam_loop():
             _, gw, gb = loss_and_grads(model, x[idx], y[idx])
             t += 1
             for i, g in enumerate(gw + gb):
-                m[i] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
-                v[i] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g**2
-                m_hat = m[i] / (1 - cfg.beta1**t)
-                v_hat = v[i] / (1 - cfg.beta2**t)
-                params[i] = params[i] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
+                v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g**2
+                m_hat = m[i] / (1 - ADAM_BETA1**t)
+                v_hat = v[i] / (1 - ADAM_BETA2**t)
+                params[i] = params[i] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     assert t == 12
     for got, want in zip(trained.weights + trained.biases, params):
         assert np.array_equal(got, want)
