@@ -4,11 +4,12 @@ Grids are modeled with the V-construction: voxels are vertices and the cells
 of the full complex are the elementary cubes of the grid, indexed by a
 "doubled" grid of shape (2 d_1 - 1, ..., 2 d_n - 1). A position with k odd
 coordinates is a k-cell; its codimension-1 faces sit one step away along each
-odd axis. Every cell carries the maximum of its vertices' scalar values
-(lower-star rule), which makes grades face-monotone by construction.
+odd axis. A complex keeps only its voxel values: every cell's grade is the
+maximum of its vertices' values (lower-star rule), so grades are face-monotone
+by construction and there is no grade precondition to check.
 
-compute_persistence takes exactly such grades and orders the cells by one
-integer key each (rank of the grade among the vertex grades, dimension,
+compute_persistence ranks the voxel values, lifts the ranks to the cells by
+the same rule and orders the cells by one integer key each (rank, dimension,
 anchor). It pairs cells over the two-element field without a boundary-matrix
 reduction in degrees 0 and n-1: numpy finds the apparent pairs (Bauer,
 "Ripser", 2021) from neighbouring keys, and one elder-rule union-find pairs
@@ -30,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, ShapeError
+from .errors import DomainError, ShapeError
 
 INF = math.inf
 
@@ -114,12 +115,31 @@ def _structure_for(dims: tuple[int, ...]) -> _Structure:
     return st
 
 
+def _lower_star(a: np.ndarray) -> np.ndarray:
+    """Doubled grid of a vertex array: each cell gets the max over its vertices."""
+    n = a.ndim
+    out = np.empty(tuple(2 * d - 1 for d in a.shape), dtype=a.dtype)
+    out[(slice(None, None, 2),) * n] = a
+    # a cell odd along ax and even after it takes the max of its two
+    # neighbours along ax, which the earlier axes already filled
+    for ax in range(n):
+        pre, post = (slice(None),) * ax, (slice(None, None, 2),) * (n - ax - 1)
+        np.maximum(out[pre + (slice(0, -1, 2),) + post], out[pre + (slice(2, None, 2),) + post],
+                   out=out[pre + (slice(1, None, 2),) + post])
+    return out
+
+
 @dataclass(frozen=True)
 class CubicalComplex:
-    """Full cubical complex of a grid with lower-star grades per cell."""
+    """Full cubical complex of a grid, graded lower-star by its voxel values."""
 
     structure: _Structure
-    grades: np.ndarray  # flat, one grade per doubled-grid cell
+    field: np.ndarray  # read-only voxel values, shape structure.dims
+
+    @property
+    def grades(self) -> np.ndarray:
+        """Flat grade of every doubled-grid cell, computed on each access."""
+        return _lower_star(self.field).ravel()
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -134,32 +154,16 @@ class CubicalComplex:
         return self.structure.n_cells
 
 
-def _interleave_max(a: np.ndarray, axis: int) -> np.ndarray:
-    d = a.shape[axis]
-    shape = list(a.shape)
-    shape[axis] = 2 * d - 1
-    out = np.empty(shape, dtype=a.dtype)
-    sl = [slice(None)] * a.ndim
-    sl[axis] = slice(0, 2 * d - 1, 2)
-    out[tuple(sl)] = a
-    lo = [slice(None)] * a.ndim
-    hi = [slice(None)] * a.ndim
-    lo[axis] = slice(0, d - 1)
-    hi[axis] = slice(1, d)
-    sl[axis] = slice(1, 2 * d - 1, 2)
-    out[tuple(sl)] = np.maximum(a[tuple(lo)], a[tuple(hi)])
-    return out
-
-
 def build_complex(field: np.ndarray) -> CubicalComplex:
-    """Lower-star complex of a scalar field (every dim must be >= 2)."""
-    arr = np.asarray(field, dtype=np.float64)
+    """Lower-star complex of a finite scalar field (every dim must be >= 2)."""
+    # adding 0.0 copies and turns -0.0 into 0.0, so zero grades print one way
+    arr = np.asarray(field, dtype=np.float64) + 0.0
     if arr.ndim < 1 or any(d < 2 for d in arr.shape):
         raise ShapeError(f"field dims must all be >= 2, got shape {arr.shape}")
-    grades = arr
-    for ax in range(arr.ndim):
-        grades = _interleave_max(grades, ax)
-    return CubicalComplex(_structure_for(arr.shape), grades.ravel())
+    if not np.isfinite(arr).all():
+        raise DomainError("field values must be finite")
+    arr.setflags(write=False)
+    return CubicalComplex(_structure_for(arr.shape), arr)
 
 
 _NO_COFACE = 2**63 - 1  # key of the exterior and of a missing coface
@@ -202,36 +206,30 @@ def _elder_rule(node_keys: np.ndarray, links: np.ndarray, link_keys: np.ndarray,
 def compute_persistence(c: CubicalComplex) -> Barcode:
     """Barcode of the sublevel filtration, degrees 0..n-1, over F2.
 
-    The grades must be lower-star (PreconditionError otherwise). Cells are
-    totally ordered by (grade, dimension, anchor position), one integer key
-    each, so the output is deterministic. Each pass yields (creator,
-    destroyer) cell pairs: apparent pairs (a cell's youngest face whose
-    oldest coface is that cell) in bulk; degree 0 and degree n-1, on the dual
-    graph of top cells plus an exterior node with negated keys, from one
-    elder-rule union-find (in 2D the dual pass skips the edges degree 0
-    merged, which by duality join nothing there); the degrees between from
-    sparse columns of the negative cells, with apparent partners standing in
-    as pivots. The full complex is contractible, so the only infinite bar is
-    the oldest vertex's. One step turns the pairs into bars and discards the
-    zero-length ones.
+    Reads the voxel values only: a cell's grade is the max over its vertices,
+    so there is no grade precondition. Cells are totally ordered by (grade,
+    dimension, anchor position), one integer key each, so the output is
+    deterministic. Each pass yields (creator, destroyer) cell pairs: apparent
+    pairs (a cell's youngest face whose oldest coface is that cell) in bulk;
+    degree 0 and degree n-1, on the dual graph of top cells plus an exterior
+    node with negated keys, from one elder-rule union-find (in 2D the dual
+    pass skips the edges degree 0 merged, which by duality join nothing
+    there); the degrees between from sparse columns of the negative cells,
+    with apparent partners standing in as pivots. The full complex is
+    contractible, so the only infinite bar is the oldest vertex's. One step
+    turns the pairs into bars and discards the zero-length ones.
     """
     st = c.structure
     n = len(st.dims)
     n_cells = st.n_cells
-    grades = c.grades
     index = st.index_in_dim
 
-    # rank the vertex grades and lift the ranks to the cells by the lower-star
-    # rule, which must give back every grade
-    values, vertex_rank = np.unique(grades.reshape(st.doubled)[(slice(None, None, 2),) * n],
-                                    return_inverse=True)
-    rank = vertex_rank.reshape(st.dims)
-    for ax in range(n):
-        rank = _interleave_max(rank, ax)
-    if not np.array_equal(values[rank.ravel()], grades):
-        raise PreconditionError("cell grades are not the lower-star grades of the vertices")
+    # rank the voxel values and lift the ranks to the cells by the lower-star
+    # rule; the sentinel cell n_cells ranks above every value
+    values, vertex_rank = np.unique(c.field, return_inverse=True)
+    rank = np.append(_lower_star(vertex_rank.reshape(st.dims)).ravel(), values.size)
     # unique keys in (grade, dimension, anchor) order; key[-1] is a missing face
-    key = np.append(rank.ravel() * ((n + 1) * n_cells) + st.dim_anchor, -1)
+    key = np.append(rank[:n_cells] * ((n + 1) * n_cells) + st.dim_anchor, -1)
 
     # --- apparent pairs ------------------------------------------------------
     # along each axis of the doubled grid, a cell at an odd position has its
@@ -308,13 +306,14 @@ def compute_persistence(c: CubicalComplex) -> Barcode:
         pairs.append((creators, cols))
 
     # --- pairs to bars ---------------------------------------------------------
+    # ranks order like the values they stand for; the sentinel reads +inf
     creators, destroyers = (np.concatenate(cells).astype(np.int64) for cells in zip(*pairs))
-    grades = np.append(grades, INF)
-    birth, death, degree = grades[creators], grades[destroyers], st.cell_dims[creators]
+    birth, death, degree = rank[creators], rank[destroyers], st.cell_dims[creators]
     keep = np.flatnonzero(death > birth)
     keep = keep[np.lexsort((death[keep], birth[keep], degree[keep]))]
+    grade = np.append(values, INF)
     return Barcode(tuple(map(Bar._make, zip(
-        birth[keep].tolist(), death[keep].tolist(), degree[keep].tolist()
+        grade[birth[keep]].tolist(), grade[death[keep]].tolist(), degree[keep].tolist()
     ))))
 
 
@@ -406,7 +405,10 @@ def _matching_feasible(adj: np.ndarray, drop_a: np.ndarray, drop_b: np.ndarray) 
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
     def covers(rows: np.ndarray) -> bool:
-        # Hopcroft-Karp; a required row without a partner is left at -1
+        # Hopcroft-Karp; a required row without a partner is left at -1. With
+        # no required row there is nothing to match, and scipy costs per call
+        if rows.shape[0] == 0:
+            return True
         indptr = np.concatenate([[0], np.cumsum(rows.sum(axis=1))])
         graph = csr_array((np.ones(indptr[-1], dtype=np.int8), np.nonzero(rows)[1], indptr),
                           shape=rows.shape)

@@ -35,17 +35,16 @@ class KernelSpec:
 
     sigma: float
     dims_n: int
-    radius: int | None = None
 
     def __post_init__(self):
         if self.dims_n not in (2, 3):
             raise ParameterError(f"dims_n must be 2 or 3, got {self.dims_n}")
         if self.sigma <= 0:
             raise ParameterError(f"sigma must be > 0, got {self.sigma}")
-        if self.radius is None:
-            object.__setattr__(self, "radius", default_radius(self.sigma))
-        if self.radius < 1:
-            raise ParameterError("radius must be >= 1 for a sampled kernel")
+
+    @property
+    def radius(self) -> int:
+        return default_radius(self.sigma)
 
 
 @dataclass(frozen=True)

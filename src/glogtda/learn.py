@@ -271,9 +271,15 @@ def load_checkpoint(path) -> MlpModel:
         data = fh.read()
     if data[:4] != MAGIC_MODEL:
         raise FormatError("bad checkpoint magic")
+    if len(data) < 8:
+        raise LengthError("truncated checkpoint header")
     (n_dims,) = struct.unpack_from("<I", data, 4)
-    dims = struct.unpack_from(f"<{n_dims}I", data, 8)
     offset = 8 + 4 * n_dims
+    if offset > len(data):
+        raise LengthError("truncated checkpoint layer dims")
+    dims = struct.unpack_from(f"<{n_dims}I", data, 8)
+    if n_dims < 2 or min(dims) < 1:
+        raise FormatError(f"bad checkpoint layer dims {dims}")
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         w_bytes = fan_out * fan_in * 8

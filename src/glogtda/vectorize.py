@@ -26,7 +26,6 @@ from .fibered import (
     FiberedBarcode,
     LineGrid,
     compute_fibered_barcode,
-    make_line_grid,
     widen_box,
 )
 
@@ -137,19 +136,16 @@ def compute_global_box(fields: list[BiGradedField]) -> Box:
 def build_features(
     fields: list[BiGradedField],
     cfg: MpiConfig,
-    num_lines: int = 50,
+    grid: LineGrid,
     degrees: tuple[int, ...] | None = None,
-    grid: LineGrid | None = None,
 ) -> list[FeatureVector]:
     """Fibered barcode -> per-degree images -> concatenated vector, per field.
 
-    All fields share the grid built from the config's global box, so features
-    are comparable across samples; grades outside the box are clipped to it.
-    A given grid must be built over that same box.
+    All fields share the line grid, which must be built over the config's
+    global box, so features are comparable across samples; grades outside the
+    box are clipped to it.
     """
-    if grid is None:
-        grid = make_line_grid(cfg.box, num_lines)
-    elif tuple(grid.box) != tuple(cfg.box):
+    if tuple(grid.box) != tuple(cfg.box):
         raise ParameterError(f"line grid box {grid.box} is not the config box {cfg.box}")
     out = []
     for f in fields:
@@ -204,7 +200,11 @@ def read_feature_bin(path) -> tuple[np.ndarray, np.ndarray]:
         data = fh.read()
     if data[:4] != MAGIC_FEATURES:
         raise FormatError("bad feature file magic")
+    if len(data) < 12:
+        raise LengthError(f"feature file is {len(data)} bytes, shorter than its header")
     count, dim = struct.unpack_from("<II", data, 4)
+    if dim < 1:
+        raise FormatError("feature rows have width 0, not even a label")
     expected = 12 + count * dim * 8
     if len(data) != expected:
         raise LengthError(f"feature file is {len(data)} bytes, expected {expected}")

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import io
 import zipfile
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib import format as npy_format
@@ -77,7 +78,6 @@ class Dataset:
     volumes: list[Volume]
     labels: np.ndarray
     split: str
-    num_classes: int = field(default=0)
     rgb_to_gray: bool = False
 
     def __post_init__(self):
@@ -93,12 +93,10 @@ class Dataset:
         for v in self.volumes:
             if v.dims != dims0:
                 raise ShapeError(f"mixed volume dims: {v.dims} vs {dims0}")
-        k = self.num_classes if self.num_classes else max(2, int(labels.max()) + 1)
-        if labels.min() < 0 or labels.max() >= k:
-            raise ParameterError(f"labels must lie in [0, {k})")
+        if labels.min() < 0:
+            raise ParameterError(f"labels must be >= 0, got {int(labels.min())}")
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "num_classes", k)
 
     def __len__(self) -> int:
         return len(self.volumes)
@@ -157,7 +155,11 @@ def read_npz(data: bytes, entry_name: str) -> np.ndarray:
             raise UnsupportedFeatureError(
                 f"compression method {info.compress_type} not supported"
             )
-        return read_npy(zf.read(info))
+        try:
+            payload = zf.read(info)
+        except (zipfile.BadZipFile, zlib.error) as exc:
+            raise FormatError(f"corrupt archive entry {entry_name!r}: {exc}") from exc
+    return read_npy(payload)
 
 
 def write_npz(path, arrays: dict, compress: bool = False) -> None:
@@ -235,7 +237,7 @@ def _squeeze_labels(labels: np.ndarray) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def load_dataset(path, split: str, num_classes: int = 0) -> Dataset:
+def load_dataset(path, split: str) -> Dataset:
     """Load one split (``train``/``val``/``test``) from an NPZ dataset file.
 
     Expects entries ``{split}_images`` and ``{split}_labels``. Color images
@@ -253,5 +255,4 @@ def load_dataset(path, split: str, num_classes: int = 0) -> Dataset:
     if images.ndim not in (3, 4):
         raise ShapeError(f"image stack must be (N, ...2D/3D), got shape {images.shape}")
     volumes = [normalize(Volume(img)) for img in images.astype(np.float64)]
-    return Dataset(volumes=volumes, labels=labels, split=split,
-                   num_classes=num_classes, rgb_to_gray=rgb_to_gray)
+    return Dataset(volumes=volumes, labels=labels, split=split, rgb_to_gray=rgb_to_gray)

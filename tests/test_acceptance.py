@@ -221,7 +221,7 @@ def test_criterion_6_feature_dimensions(pipeline_05):
     fields3 = [BiGradedField(g1=rng.random((5, 5, 5)), g2=rng.uniform(-1, 1, (5, 5, 5)))
                for _ in range(2)]
     cfg3 = MpiConfig(box=compute_global_box(fields3))
-    feats3 = build_features(fields3, cfg3, num_lines=6)
+    feats3 = build_features(fields3, cfg3, grid=make_line_grid(cfg3.box, 6))
     ok = dim2d == 5000 and all(len(f) == 7500 for f in feats3)
     report(6, ok, "feature dimensions: 2D -> 5000, 3D -> 7500",
            f"2D {dim2d}, 3D {len(feats3[0])}")
@@ -297,7 +297,7 @@ def test_criterion_11_determinism(tmp_path, synth400):
     def feature_bytes(path):
         fields = [compute_glog(v, 0.5, 1.0) for v in subset]
         cfg = MpiConfig(box=compute_global_box(fields))
-        feats = build_features(fields, cfg, num_lines=20)
+        feats = build_features(fields, cfg, grid=make_line_grid(cfg.box, 20))
         write_feature_bin(path, feats, sub_labels)
         return path.read_bytes(), np.vstack([f.values for f in feats])
 

@@ -7,6 +7,7 @@ from glogtda.cli import main
 from glogtda.vectorize import read_feature_bin
 
 from synthdata import disk_annulus_images, write_split_npz
+from test_volume_io import member_payload_offset
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,25 @@ def test_sigma_gauss_choices_enforced(tmp_path, toy_dataset):
 
 def test_unreadable_dataset(tmp_path):
     assert run(["extract", "--dataset", tmp_path / "nope.npz", "--out", tmp_path / "o"]) == 2
+
+
+def test_corrupt_dataset_member_is_format_error(tmp_path, toy_dataset, capsys):
+    data = bytearray(toy_dataset.read_bytes())
+    # a pixel byte past the NPY header; the member's CRC no longer matches
+    data[member_payload_offset(bytes(data), "train_images.npy") + 200] ^= 1
+    path = tmp_path / "corrupt.npz"
+    path.write_bytes(bytes(data))
+    assert run(extract_args(path, tmp_path / "o")) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_truncated_feature_file_is_format_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    for split in ("train", "val"):
+        (out / f"features_{split}.bin").write_bytes(b"GLF1")
+    assert run(["train", "--out", out]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_empty_dataset_is_parameter_error(tmp_path):

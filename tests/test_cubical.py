@@ -21,7 +21,7 @@ from glogtda.cubical_persistence import (
     component_count,
     compute_persistence,
 )
-from glogtda.errors import PreconditionError, ShapeError
+from glogtda.errors import DomainError, ShapeError
 from glogtda.fibered import make_line_grid
 from glogtda.volume_io import Volume, normalize
 import reference_persistence
@@ -77,31 +77,36 @@ def test_lower_star_grades_match_vertex_maxima(shape):
 def test_build_complex_shape_error():
     with pytest.raises(ShapeError):
         build_complex(np.zeros((1, 5)))
+    with pytest.raises(DomainError):
+        build_complex(np.array([[0.0, np.nan], [1.0, 2.0]]))
 
 
-def test_monotonicity_precondition():
-    c = build_complex(np.zeros((3, 3)))
-    bad = c.grades.copy()
-    square = np.nonzero(c.structure.cell_dims == 2)[0][0]
-    bad[square] = -1.0  # below its faces
-    with pytest.raises(PreconditionError):
-        compute_persistence(CubicalComplex(c.structure, bad))
+def test_persistence_reads_voxel_values_not_cell_grades(monkeypatch):
+    # the engine ranks the voxel values itself; the cell grades are only for
+    # the oracles, so a complex whose grades cannot be read has the same barcode
+    rng = np.random.default_rng(6)
+    complexes = [build_complex(rng.integers(0, 4, (6, 7))), build_complex(rng.random((4, 5, 3)))]
+    want = [compute_persistence(c) for c in complexes]
+
+    def unreadable(self):
+        raise AssertionError("compute_persistence read the cell grades")
+
+    monkeypatch.setattr(CubicalComplex, "grades", property(unreadable))
+    assert [compute_persistence(c) for c in complexes] == want
+    with pytest.raises(AssertionError):
+        complexes[0].grades
 
 
-def test_non_lower_star_grades_rejected():
-    # raising an interior edge and both its squares by the same amount keeps
-    # the grades monotone under the face relation, but the edge no longer
-    # carries the maximum of its two vertices
-    c = build_complex(np.random.default_rng(4).random((4, 4)))
-    edge = np.ravel_multi_index((3, 2), c.structure.doubled)  # between (1,1) and (2,1)
-    squares = [np.ravel_multi_index(p, c.structure.doubled) for p in ((3, 1), (3, 3))]
-    assert c.structure.cell_dims[[edge] + squares].tolist() == [1, 2, 2]
-    bad = c.grades.copy()
-    bad[[edge] + squares] += 1.0
-    raised = CubicalComplex(c.structure, bad)
-    reference_persistence._check_monotone(raised)  # still monotone
-    with pytest.raises(PreconditionError):
-        compute_persistence(raised)
+def test_complex_keeps_a_read_only_copy_of_the_field():
+    f = np.arange(6.0).reshape(2, 3)
+    c = build_complex(f)
+    f[0, 0] = 9.0
+    assert c.field[0, 0] == 0.0 and c.field.shape == c.dims
+    with pytest.raises(ValueError):
+        c.field[0, 0] = 1.0
+    signed = build_complex(np.array([[-0.0, 0.0], [1.0, -0.0]]))
+    assert not np.signbit(signed.field).any()
+    assert compute_persistence(signed).to_csv() == "degree,birth,death\n0,0.0,inf\n"
 
 
 # --- persistence fixtures ------------------------------------------------------
@@ -416,6 +421,19 @@ def test_matching_feasible_agrees_with_augmented_graph_search():
         assert _matching_feasible(adj, drop_a, drop_b) == want
 
 
+def test_matching_feasible_skips_sides_without_required_bars(monkeypatch):
+    import scipy.sparse.csgraph
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("matched a side that has no required bar")
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "maximum_bipartite_matching", unreachable)
+    adj = np.random.default_rng(11).random((4, 3)) < 0.5
+    assert _matching_feasible(adj, np.ones(4, dtype=bool), np.ones(3, dtype=bool))
+    assert _matching_feasible(np.zeros((0, 2), dtype=bool), np.zeros(0, dtype=bool),
+                              np.ones(2, dtype=bool))
+
+
 def test_bottleneck_accepts_bar_tuples():
     a = [Bar(0.0, 1.0, 1)]
     b = [Bar(0.1, 1.1, 1)]
@@ -445,7 +463,8 @@ import numpy as np
 import glogtda
 rng = np.random.default_rng(0)
 f = glogtda.compute_glog(glogtda.Volume(rng.random((8, 8))), 0.5, 1.0)
-glogtda.build_features([f], glogtda.MpiConfig(f.box, resolution=(8, 8)), num_lines=4)
+cfg = glogtda.MpiConfig(f.box, resolution=(8, 8))
+glogtda.build_features([f], cfg, grid=glogtda.make_line_grid(cfg.box, 4))
 assert not [m for m in sys.modules if m.startswith("scipy")], sorted(sys.modules)
 assert glogtda.bottleneck([(0.0, 1.0)], [(0.0, 1.5)]) == 0.5
 assert "scipy.sparse.csgraph" in sys.modules

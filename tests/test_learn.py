@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,18 @@ def test_checkpoint_errors(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(LengthError):
         load_checkpoint(path)
+    # a header cut short, and a layer count that runs past the end
+    for data in (b"GLM1", b"GLM1" + struct.pack("<3I", 3, 4, 2)):
+        path.write_bytes(data)
+        with pytest.raises(LengthError):
+            load_checkpoint(path)
+    # fewer than two layer dims, or a zero dim (with its 2 biases, a model
+    # with no inputs)
+    for dims, params in (((), b""), ((4,), b""), ((0, 2), bytes(16))):
+        path.write_bytes(b"GLM1" + struct.pack(f"<{1 + len(dims)}I", len(dims), *dims) + params)
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert err.type is FormatError
 
 
 def test_history_csv():

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -200,7 +201,7 @@ def test_feature_dimensions_2d_and_3d():
         for _ in range(3)
     ]
     cfg = MpiConfig(box=compute_global_box(fields2))
-    feats = build_features(fields2, cfg, num_lines=8)
+    feats = build_features(fields2, cfg, grid=make_line_grid(cfg.box, 8))
     assert all(len(f) == 5000 for f in feats)
     assert feats[0].layout == ((0, 2500), (1, 2500))
     fields3 = [
@@ -208,7 +209,7 @@ def test_feature_dimensions_2d_and_3d():
         for _ in range(2)
     ]
     cfg3 = MpiConfig(box=compute_global_box(fields3))
-    feats3 = build_features(fields3, cfg3, num_lines=6)
+    feats3 = build_features(fields3, cfg3, grid=make_line_grid(cfg3.box, 6))
     assert all(len(f) == 7500 for f in feats3)
     assert feats3[0].layout == ((0, 2500), (1, 2500), (2, 2500))
 
@@ -217,8 +218,8 @@ def test_features_nonnegative_finite_and_deterministic():
     rng = np.random.default_rng(1)
     f = BiGradedField(g1=rng.random((6, 6)), g2=rng.uniform(-1, 1, (6, 6)))
     cfg = MpiConfig(box=f.box)
-    a = build_features([f], cfg, num_lines=8)[0]
-    b = build_features([f], cfg, num_lines=8)[0]
+    a = build_features([f], cfg, grid=make_line_grid(cfg.box, 8))[0]
+    b = build_features([f], cfg, grid=make_line_grid(cfg.box, 8))[0]
     assert (a.values >= 0).all() and np.isfinite(a.values).all()
     assert a.values.tobytes() == b.values.tobytes()
 
@@ -228,7 +229,7 @@ def test_out_of_box_sample_is_clipped_not_rejected():
     train = [BiGradedField(g1=rng.random((5, 5)), g2=rng.random((5, 5)))]
     cfg = MpiConfig(box=compute_global_box(train))
     wild = BiGradedField(g1=rng.random((5, 5)) * 3.0, g2=rng.random((5, 5)) * 2.0)
-    feats = build_features([wild], cfg, num_lines=6)
+    feats = build_features([wild], cfg, grid=make_line_grid(cfg.box, 6))
     assert np.isfinite(feats[0].values).all()
 
 
@@ -279,3 +280,10 @@ def test_feature_bin_errors(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(LengthError):
         read_feature_bin(path)
+    path.write_bytes(b"GLF1")  # no room for the row count and width
+    with pytest.raises(LengthError):
+        read_feature_bin(path)
+    path.write_bytes(b"GLF1" + struct.pack("<II", 3, 0))  # rows without a label
+    with pytest.raises(FormatError) as err:
+        read_feature_bin(path)
+    assert err.type is FormatError

@@ -138,6 +138,24 @@ def test_read_npz_not_a_zip():
         read_npz(b"definitely not a zip file", "x")
 
 
+def member_payload_offset(data, name):
+    # the local header's own name and extra lengths, not the central directory's
+    header = zipfile.ZipFile(io.BytesIO(data)).getinfo(name).header_offset
+    name_len, extra_len = struct.unpack_from("<HH", data, header + 26)
+    return header + 30 + name_len + extra_len
+
+
+def test_read_npz_corrupt_member():
+    stored = bytearray(npz_bytes(False, x=np.arange(16, dtype=np.uint8)))
+    stored[member_payload_offset(bytes(stored), "x.npy")] ^= 1  # CRC no longer matches
+    with pytest.raises(FormatError, match="CRC"):
+        read_npz(bytes(stored), "x")
+    deflated = bytearray(npz_bytes(True, x=np.arange(16, dtype=np.uint8)))
+    deflated[member_payload_offset(bytes(deflated), "x.npy")] |= 0b110  # reserved block type
+    with pytest.raises(FormatError, match="decompressing"):
+        read_npz(bytes(deflated), "x")
+
+
 def test_read_npz_unsupported_compression():
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_BZIP2) as zf:
@@ -252,8 +270,8 @@ def test_volume_validation():
 def test_dataset_validation():
     vols = [Volume(np.zeros((2, 2))), Volume(np.zeros((2, 2)))]
     ds = Dataset(volumes=vols, labels=[0, 1], split="train")
-    assert ds.num_classes == 2 and len(ds) == 2
-    assert Dataset(volumes=vols, labels=[0, 0], split="test").num_classes == 2
+    assert len(ds) == 2 and ds.labels.tolist() == [0, 1]
+    assert len(Dataset(volumes=vols, labels=[0, 0], split="test")) == 2  # one class is fine
     with pytest.raises(ParameterError):
         Dataset(volumes=vols, labels=[0, 1], split="holdout")
     with pytest.raises(ParameterError):
@@ -261,7 +279,7 @@ def test_dataset_validation():
     with pytest.raises(ShapeError):
         Dataset(volumes=[vols[0], Volume(np.zeros((3, 3)))], labels=[0, 1], split="train")
     with pytest.raises(ParameterError):
-        Dataset(volumes=vols, labels=[0, 5], split="train", num_classes=2)
+        Dataset(volumes=vols, labels=[0, -1], split="train")
 
 
 def test_load_dataset_grayscale_and_labels(tmp_path):
