@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     except GlogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
 

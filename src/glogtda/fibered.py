@@ -13,8 +13,9 @@ of rows (birth, death, degree, was_infinite).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,7 +106,7 @@ class FiberedBarcode:
 
 
 def clip_bars(
-    bars: Iterable[Bar],
+    bars: Sequence[Bar],
     t_enter: float,
     t_exit: float,
     delta: float,
@@ -121,7 +122,7 @@ def clip_bars(
     wherever barcodes from different one-parameter computations must stay
     comparable.
     """
-    table = np.array(bars, dtype=np.float64).reshape(-1, 3)
+    table = np.fromiter(itertools.chain.from_iterable(bars), np.float64, 3 * len(bars)).reshape(-1, 3)
     birth, death, degree = table[np.isin(table[:, 2], degrees)].T
     was_inf = np.isinf(death)
     birth = np.maximum(birth, t_enter)

@@ -7,14 +7,17 @@ to the unit square, each pixel accumulates
     persistence^p * exp(-dist(center, segment)^2 / (2 bandwidth^2)) * delta/diag
 
 summed over all bars of all lines, where dist is Euclidean point-to-segment
-distance, persistence is measured in line-parameter units and delta/diag
-normalizes for line density. One image per homology degree, drawn one line at
-a time as numpy arrays; images are concatenated in ascending degree order,
-pixels row-major.
+distance (a bar adds nothing past eight bandwidths), persistence is measured in
+line-parameter units and delta/diag normalizes for line density. One image per
+homology degree, drawn by coverage one line at a time: where a pixel lies
+inside segments' spans along the line their weights come from prefix sums, and
+only segments ending near it take an exp each. Images are concatenated in
+ascending degree order, pixels row-major.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -68,39 +71,66 @@ class FeatureVector:
 _CUTOFF_BANDWIDTHS = 8.0  # kernel mass beyond this is ~exp(-32), below rounding
 
 
-def render_segments(
-    segments: np.ndarray, weights: np.ndarray, cfg: MpiConfig
-) -> np.ndarray:
-    """Accumulate weighted Gaussian masses of normalized segments onto pixels.
-
-    segments is (m, 4) rows (x0, y0, x1, y1) in unit-square coordinates, all
-    parallel to the grade-plane diagonal (1, 1) mapped into the unit square,
-    the direction (1/span1, 1/span2); weights already include every per-bar
-    factor. A pixel's squared distance to a segment is its offset across the
-    segment's line squared plus its excess beyond the segment's ends along it
-    squared. A segment adds nothing to pixels farther than eight bandwidths
-    from it; pixels that far across from every segment's line are skipped.
-    """
-    min1, min2, max1, max2 = cfg.box
+@functools.lru_cache(maxsize=8)
+def _pixel_frame(resolution: tuple[int, int], box: Box):
+    """Unit line direction and the pixel centers' (along, across) coordinates, read-only."""
+    min1, min2, max1, max2 = box
     ux, uy = 1.0 / (max1 - min1), 1.0 / (max2 - min2)
     norm = np.hypot(ux, uy)
     ux, uy = ux / norm, uy / norm
-    r1, r2 = cfg.resolution
+    r1, r2 = resolution
     px, py = np.meshgrid((np.arange(r1) + 0.5) / r1, (np.arange(r2) + 0.5) / r2, indexing="ij")
-    px_along, px_across = (px * ux + py * uy).ravel(), (py * ux - px * uy).ravel()
+    frame = np.stack(((px * ux + py * uy).ravel(), (py * ux - px * uy).ravel()))
+    frame.setflags(write=False)
+    return ux, uy, frame
+
+
+def render_segments(
+    segments: np.ndarray, weights: np.ndarray, cfg: MpiConfig
+) -> np.ndarray:
+    """Accumulate weighted Gaussian masses of one line's segments onto pixels.
+
+    segments is (m, 4) rows (x0, y0, x1, y1) in unit-square coordinates, all on
+    one line parallel to (1/span1, 1/span2), the grade-plane diagonal mapped
+    into the unit square (else ParameterError); weights include every per-bar
+    factor. A pixel at offset c across the line lies at squared distance
+    c^2 + e^2 from a segment, e its excess beyond the segment's ends, and gets
+    nothing from it past 8 bandwidths. Segments spanning the pixel add a prefix
+    sum difference of weights times exp(-c^2/2h^2); only near ends take an exp.
+    """
     x0, y0, x1, y1 = np.reshape(segments, (-1, 4)).T
-    s0, s1, across = x0 * ux + y0 * uy, x1 * ux + y1 * uy, y0 * ux - x0 * uy
+    img = np.zeros(cfg.resolution[0] * cfg.resolution[1], dtype=np.float64)
+    if not len(x0):
+        return img.reshape(cfg.resolution)
+    ux, uy, (px_along, px_across) = _pixel_frame(cfg.resolution, cfg.box)
+    across = y0 * ux - x0 * uy
+    if np.ptp(across) > 1e-9:
+        raise ParameterError(f"segments lie on lines up to {np.ptp(across):.3g} apart, not one")
+    s0, s1, m = x0 * ux + y0 * uy, x1 * ux + y1 * uy, len(x0)
     margin = _CUTOFF_BANDWIDTHS * cfg.bandwidth
-    band = np.flatnonzero(
-        (px_across >= across.min(initial=np.inf) - margin)
-        & (px_across <= across.max(initial=-np.inf) + margin)
-    )
-    along = px_along[band, None]
-    excess = np.clip(along, np.minimum(s0, s1), np.maximum(s0, s1)) - along
-    d2 = (px_across[band, None] - across) ** 2 + excess**2
+    c2 = (px_across - across[0]) ** 2
+    band = np.flatnonzero(c2 <= margin**2)
+    along, c2 = px_along[band], c2[band]
+    by_hi, by_lo = np.argsort(np.maximum(s0, s1)), np.argsort(np.minimum(s0, s1))
+    # the sorted high ends, then the sorted low ends; weights and prefix sums in both orders
+    ends = np.concatenate((np.maximum(s0, s1)[by_hi], np.minimum(s0, s1)[by_lo]))
+    w_end = np.ravel(weights)[np.concatenate((by_hi, by_lo))]
+    cw = np.concatenate((np.zeros((2, 1)), np.cumsum(w_end.reshape(2, m), axis=1)), axis=1)
+    hi, lo = ends[:m], ends[m:]
+    n_hi_lt = np.searchsorted(hi, along, "left")  # segments ending before the pixel
+    n_lo_le = np.searchsorted(lo, along, "right")  # segments starting at or before it
+    inside = np.where(n_lo_le > n_hi_lt, cw[1, n_lo_le] - cw[0, n_hi_lt], 0.0)
+    # ragged ranges of the ends within reach, high ends before the pixel and low
+    # ends after it; the slack keeps every pair the cutoff rule lets through
+    reach = np.sqrt(margin**2 - c2) + 1e-6 * margin
+    first = np.concatenate((np.searchsorted(hi, along - reach), n_lo_le + m))
+    count = np.concatenate((n_hi_lt, np.searchsorted(lo, along + reach, "right") + m)) - first
+    pixel = np.repeat(np.tile(np.arange(len(band)), 2), count)
+    end = np.arange(len(pixel)) + np.repeat(first - np.cumsum(count) + count, count)
+    d2 = c2[pixel] + (ends[end] - along[pixel]) ** 2
     kernel = np.exp(-d2 / (2.0 * cfg.bandwidth**2), out=np.zeros_like(d2), where=d2 <= margin**2)
-    img = np.zeros(r1 * r2, dtype=np.float64)
-    img[band] = (np.ravel(weights) * kernel).sum(axis=1)
+    near = np.bincount(pixel, w_end[end] * kernel, minlength=len(band))
+    img[band] = inside * np.exp(-c2 / (2.0 * cfg.bandwidth**2)) + near
     return img.reshape(cfg.resolution)
 
 

@@ -26,8 +26,8 @@ def render_segments(
     """Accumulate weighted Gaussian masses of normalized segments onto pixels.
 
     segments is (m, 4) rows (x0, y0, x1, y1) in unit-square coordinates;
-    weights already include every per-bar factor. Pixels farther than eight
-    bandwidths from a segment are skipped.
+    weights already include every per-bar factor. A segment adds nothing to
+    pixels farther than eight bandwidths from it.
     """
     r1, r2 = cfg.resolution
     xs = (np.arange(r1) + 0.5) / r1
@@ -52,7 +52,7 @@ def render_segments(
             t = ((px - x0) * dx + (py - y0) * dy) / seg_len2
             t = np.clip(t, 0.0, 1.0)
             d2 = (px - (x0 + t * dx)) ** 2 + (py - (y0 + t * dy)) ** 2
-        img[i0:i1, j0:j1] += w * np.exp(-d2 * inv_two_bw2)
+        img[i0:i1, j0:j1] += w * np.exp(-d2 * inv_two_bw2, out=np.zeros_like(d2), where=d2 <= margin**2)
     return img
 
 

@@ -110,6 +110,22 @@ def test_unreadable_dataset(tmp_path):
     assert run(["extract", "--dataset", tmp_path / "nope.npz", "--out", tmp_path / "o"]) == 2
 
 
+def test_dataset_directory_is_io_error(tmp_path, capsys):
+    assert run(["extract", "--dataset", tmp_path, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and "Traceback" not in err
+
+
+def test_dataset_permission_denied_is_io_error(tmp_path, toy_dataset, monkeypatch, capsys):
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("glogtda.volume_io.open", denied, raising=False)
+    assert run(extract_args(toy_dataset, tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and "Permission denied" in err and "Traceback" not in err
+
+
 def test_corrupt_dataset_member_is_format_error(tmp_path, toy_dataset, capsys):
     data = bytearray(toy_dataset.read_bytes())
     # a pixel byte past the NPY header; the member's CRC no longer matches

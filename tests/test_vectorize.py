@@ -94,18 +94,60 @@ def test_weight_homogeneity_times_four():
     cfg = MpiConfig(box=(0.0, 0.0, 1.0, 1.0))
     segments = np.array([[0.2, 0.2, 0.6, 0.6], [0.1, 0.5, 0.4, 0.8]])
     weights = np.array([0.3, 1.1])
-    base = render_segments(segments, weights, cfg)
-    scaled = render_segments(segments, 4.0 * weights, cfg)
+
+    def image(w):
+        # the two segments lie on different lines: one call per line
+        return sum(render_segments(s[None], x[None], cfg) for s, x in zip(segments, w))
+
+    base = image(weights)
+    scaled = image(4.0 * weights)
     # scaling by 4 is exact except at the subnormal floor of the Gaussian tail
     assert np.abs(scaled - 4.0 * base).max() <= 1e-300
     mass = base.sum()
     assert scaled.sum() == pytest.approx(4.0 * mass, rel=1e-15)
 
 
+def test_segments_on_different_lines_are_rejected():
+    cfg = MpiConfig(box=(0.0, 0.0, 1.0, 1.0))
+    segments = np.array([[0.2, 0.2, 0.6, 0.6], [0.1, 0.5, 0.4, 0.8]])
+    with pytest.raises(ParameterError):
+        render_segments(segments, np.array([0.3, 1.1]), cfg)
+
+
+def test_no_segments_render_zero():
+    cfg = MpiConfig(box=(0.0, 0.0, 1.0, 1.0), resolution=(7, 5))
+    img = render_segments(np.empty((0, 4)), np.empty(0), cfg)
+    assert img.shape == (7, 5)
+    assert (img == 0.0).all()
+
+
+def test_gap_between_heavy_segments_reads_exactly_zero():
+    # three nested heavy segments before a gap of 40 bandwidths and one after
+    # it: the weights before the gap sum in a different order by low end than
+    # by high end, so a bare prefix-sum difference leaves rounding residue
+    cfg = MpiConfig(box=(0.0, 0.0, 1.0, 1.0), bandwidth=0.01)
+    segments = np.array(
+        [[0.02, 0.02, 0.30, 0.30], [0.05, 0.05, 0.25, 0.25], [0.10, 0.10, 0.28, 0.28],
+         [0.70, 0.70, 0.95, 0.95]]
+    )
+    weights = np.array([1e6 / 3, 2e6 / 3, 1e6 / 7, 1e6])
+    img = render_segments(segments, weights, cfg)
+    assert (img[20:30, 20:30] == 0.0).all()
+    assert img[10, 10] > 0.0 and img[40, 40] > 0.0
+
+
 def test_far_bar_contributes_nothing():
     cfg = MpiConfig(box=(0.0, 0.0, 1.0, 1.0), bandwidth=0.01)
     img = render_segments(np.array([[2.0, 2.0, 2.5, 2.5]]), np.array([5.0]), cfg)
     assert img.sum() < 1e-6
+
+
+def test_pixel_just_past_the_cutoff_reads_exactly_zero():
+    cfg = MpiConfig(box=(0.0, 0.0, 1.0, 1.0), bandwidth=0.01)
+    # a diagonal segment ending 8.000004 bandwidths before pixel (25, 25)
+    end = 0.51 - 8 * cfg.bandwidth * (1 + 5e-7) / math.sqrt(2)
+    img = render_segments(np.array([[0.1, 0.1, end, end]]), np.array([1.0]), cfg)
+    assert img[25, 25] == 0.0 and img[24, 24] > 0.0
 
 
 def test_adding_a_bar_is_monotone():
@@ -159,23 +201,40 @@ def test_image_clamp_shortens_or_drops_stubs_born_past_exit():
     assert (image(stub) == 0.0).all()
 
 
-def test_per_line_renderer_matches_loop_reference():
-    # summation order differs from the per-segment loop, so equality holds to
-    # rounding; the last sample of each set lies partly outside the box
+@pytest.fixture(scope="module")
+def clipped_barcodes():
+    """(fibered barcode, config) pairs of 28x28 disks and 8^3 noise volumes;
+    the last sample of each set lies partly outside the box."""
     images, _ = disk_annulus_images(3, size=28, seed=1)
     fields2 = [compute_glog(normalize(Volume(im)), 0.5, 1.0) for im in images]
     rng = np.random.default_rng(11)
     fields3 = [compute_glog(Volume(rng.random((8, 8, 8))), 0.5, 1.0) for _ in range(2)]
+    out = []
     for fields in (fields2, fields3):
         cfg = MpiConfig(box=compute_global_box(fields[:-1]))
         grid = make_line_grid(cfg.box, 50)
         for f in fields:
             fb = compute_fibered_barcode(f, grid, allow_clip=True)
             assert fb.degrees_present == tuple(range(len(f.dims)))
-            for degree in fb.degrees_present:
-                want = reference_render.render_mpi(fb, degree, cfg)
-                got = render_mpi(fb, degree, cfg)
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            out.append((fb, cfg))
+    return out
+
+
+def test_per_line_renderer_matches_loop_reference(clipped_barcodes):
+    # summation order differs from the per-segment loop, so equality holds to
+    # rounding
+    for fb, cfg in clipped_barcodes:
+        for degree in fb.degrees_present:
+            want = reference_render.render_mpi(fb, degree, cfg)
+            got = render_mpi(fb, degree, cfg)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_zero_pixels_match_loop_reference(clipped_barcodes):
+    for fb, cfg in clipped_barcodes:
+        for degree in fb.degrees_present:
+            want = reference_render.render_mpi(fb, degree, cfg)
+            assert np.array_equal(render_mpi(fb, degree, cfg) == 0.0, want == 0.0)
 
 
 def test_render_missing_degree():
