@@ -51,27 +51,37 @@ def _write_json(path: Path, payload) -> None:
 
 def _load_config_file(path) -> dict:
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise FormatError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise FormatError("config file must hold a JSON object")
     return cfg
 
 
-def _merged(args: argparse.Namespace, key: str, default):
-    """Flag value if given, else config-file value, else default."""
+def _convert(name: str, value, kind):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name} got {value!r}: {exc}") from None
+
+
+def _merged(args: argparse.Namespace, key: str, default, kind=None):
+    """Flag value if given, else config-file value, else default; a value
+    other than the default is converted by kind, if given."""
     val = getattr(args, key, None)
-    if val is not None:
+    if val is None:
+        val = args.config_values.get(key, default)
+    if kind is None or val is default:
         return val
-    if args.config_values and key in args.config_values:
-        return args.config_values[key]
-    return default
+    return _convert("--" + key.replace("_", "-"), val, kind)
 
 
 def _threads(args) -> int:
-    t = _merged(args, "threads", None)
+    t = _merged(args, "threads", None, int)
     if t is None:
-        t = os.environ.get("GLOG_THREADS", "1")
-    t = int(t)
+        t = _convert("GLOG_THREADS", os.environ.get("GLOG_THREADS", "1"), int)
     if t < 1:
         raise ParameterError(f"--threads must be >= 1, got {t}")
     return t
@@ -105,12 +115,12 @@ def cmd_extract(args) -> int:
         raise ParameterError("--dataset is required")
     out_dir = Path(_merged(args, "out", "glog_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    sigma_gauss = float(_merged(args, "sigma_gauss", 0.5))
-    sigma_log = float(_merged(args, "sigma_log", 1.0))
-    num_lines = int(_merged(args, "num_lines", 50))
-    bandwidth = float(_merged(args, "bandwidth", 0.01))
-    weight_power = float(_merged(args, "weight_power", 2.0))
-    resolution = int(_merged(args, "resolution", 50))
+    sigma_gauss = _merged(args, "sigma_gauss", 0.5, float)
+    sigma_log = _merged(args, "sigma_log", 1.0, float)
+    num_lines = _merged(args, "num_lines", 50, int)
+    bandwidth = _merged(args, "bandwidth", 0.01, float)
+    weight_power = _merged(args, "weight_power", 2.0, float)
+    resolution = _merged(args, "resolution", 50, int)
     threads = _threads(args)
     if sigma_gauss not in SIGMA_GAUSS_CHOICES:
         raise ParameterError(
@@ -187,7 +197,7 @@ def cmd_extract(args) -> int:
             "box": list(cfg.box),
             "degrees": list(degrees),
             "feature_dim": len(degrees) * resolution * resolution,
-            "seed": int(_merged(args, "seed", 0)),
+            "seed": _merged(args, "seed", 0, int),
             "rgb_to_gray": {split: ds.rgb_to_gray for split, ds in datasets.items()},
         },
     )
@@ -208,13 +218,13 @@ def cmd_train(args) -> int:
         raise FormatError(
             f"feature dims disagree: train {train_x.shape[1]} vs val {val_x.shape[1]}"
         )
-    seed = int(_merged(args, "seed", 0))
+    seed = _merged(args, "seed", 0, int)
     num_classes = int(max(train_y.max(), val_y.max())) + 1
     cfg = TrainConfig(
-        learning_rate=float(_merged(args, "learning_rate", 0.001)),
-        epochs=int(_merged(args, "epochs", 100)),
-        batch_size=int(_merged(args, "batch_size", 32)),
-        patience=int(_merged(args, "patience", 20)),
+        learning_rate=_merged(args, "learning_rate", 0.001, float),
+        epochs=_merged(args, "epochs", 100, int),
+        batch_size=_merged(args, "batch_size", 32, int),
+        patience=_merged(args, "patience", 20, int),
         rng_seed=seed,
     )
     model = init_model(model_dims_for(train_x.shape[1], num_classes), seed)
@@ -264,15 +274,15 @@ def cmd_eval(args) -> int:
 def cmd_stability(args) -> int:
     out_dir = Path(_merged(args, "out", "glog_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = int(_merged(args, "seed", 0))
-    trials = int(_merged(args, "trials", 10))
-    noise_eps = float(_merged(args, "noise_eps", 0.1))
-    dims = tuple(int(d) for d in str(_merged(args, "dims", "8x8")).split("x"))
-    sigma_log = float(_merged(args, "sigma_log", 1.0))
-    num_lines = int(_merged(args, "num_lines", 50))
-    bound_scale = float(_merged(args, "debug_bound_scale", 1.0))
-    sigma_gauss = _merged(args, "sigma_gauss", None)
-    sweep = [float(sigma_gauss)] if sigma_gauss is not None else [0.5, 1.0, 1.5]
+    seed = _merged(args, "seed", 0, int)
+    trials = _merged(args, "trials", 10, int)
+    noise_eps = _merged(args, "noise_eps", 0.1, float)
+    dims = _merged(args, "dims", (8, 8), lambda v: tuple(int(d) for d in str(v).split("x")))
+    sigma_log = _merged(args, "sigma_log", 1.0, float)
+    num_lines = _merged(args, "num_lines", 50, int)
+    bound_scale = _merged(args, "debug_bound_scale", 1.0, float)
+    sigma_gauss = _merged(args, "sigma_gauss", None, float)
+    sweep = [sigma_gauss] if sigma_gauss is not None else [0.5, 1.0, 1.5]
 
     reports = []
     all_passed = True
@@ -299,9 +309,9 @@ def cmd_decomposition_demo(args) -> int:
     out_dir = Path(_merged(args, "out", "glog_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     report = stability_harness.run_decomposition_suite(
-        seed=int(_merged(args, "seed", 0)),
-        n_geometries=int(_merged(args, "geometries", 20)),
-        num_lines=int(_merged(args, "num_lines", 30)),
+        seed=_merged(args, "seed", 0, int),
+        n_geometries=_merged(args, "geometries", 20, int),
+        num_lines=_merged(args, "num_lines", 30, int),
     )
     print(report.table())
     _atomic_write(out_dir / "decomposition_report.json", report.to_json() + "\n")
@@ -383,8 +393,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.config_values = _load_config_file(args.config) if args.config else {}
     try:
+        args.config_values = _load_config_file(args.config) if args.config else {}
         return _COMMANDS[args.command](args)
     except GlogError as exc:
         print(f"error: {exc}", file=sys.stderr)

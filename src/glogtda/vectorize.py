@@ -9,10 +9,11 @@ to the unit square, each pixel accumulates
 summed over all bars of all lines, where dist is Euclidean point-to-segment
 distance (a bar adds nothing past eight bandwidths), persistence is measured in
 line-parameter units and delta/diag normalizes for line density. One image per
-homology degree, drawn by coverage one line at a time: where a pixel lies
-inside segments' spans along the line their weights come from prefix sums, and
-only segments ending near it take an exp each. Images are concatenated in
-ascending degree order, pixels row-major.
+homology degree, drawn by coverage one line at a time from that line's
+(birth, death) rows and its offset b alone: where a pixel lies inside bars'
+spans along the line their weights come from prefix sums, and only bars ending
+near it take an exp each. Images are concatenated in ascending degree order,
+pixels row-major.
 """
 
 from __future__ import annotations
@@ -54,10 +55,9 @@ class MpiConfig:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Concatenated per-degree images; layout records (degree, block length)."""
+    """Per-degree images concatenated in ascending degree order."""
 
     values: np.ndarray
-    layout: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -73,52 +73,54 @@ _CUTOFF_BANDWIDTHS = 8.0  # kernel mass beyond this is ~exp(-32), below rounding
 
 @functools.lru_cache(maxsize=8)
 def _pixel_frame(resolution: tuple[int, int], box: Box):
-    """Unit line direction and the pixel centers' (along, across) coordinates, read-only."""
+    """Grade-to-unit-square scale s along a line; pixel centers' (along, across), read-only."""
     min1, min2, max1, max2 = box
-    ux, uy = 1.0 / (max1 - min1), 1.0 / (max2 - min2)
-    norm = np.hypot(ux, uy)
-    ux, uy = ux / norm, uy / norm
+    s = np.hypot(1.0 / (max1 - min1), 1.0 / (max2 - min2))
+    ux, uy = 1.0 / (max1 - min1) / s, 1.0 / (max2 - min2) / s  # the diagonal direction
     r1, r2 = resolution
     px, py = np.meshgrid((np.arange(r1) + 0.5) / r1, (np.arange(r2) + 0.5) / r2, indexing="ij")
     frame = np.stack(((px * ux + py * uy).ravel(), (py * ux - px * uy).ravel()))
     frame.setflags(write=False)
-    return ux, uy, frame
+    return s, frame
 
 
 def render_segments(
-    segments: np.ndarray, weights: np.ndarray, cfg: MpiConfig
+    bars: np.ndarray, offset: float, weights: np.ndarray, cfg: MpiConfig
 ) -> np.ndarray:
-    """Accumulate weighted Gaussian masses of one line's segments onto pixels.
+    """Accumulate weighted Gaussian masses of one line's bars onto pixels.
 
-    segments is (m, 4) rows (x0, y0, x1, y1) in unit-square coordinates, all on
-    one line parallel to (1/span1, 1/span2), the grade-plane diagonal mapped
-    into the unit square (else ParameterError); weights include every per-bar
-    factor. A pixel at offset c across the line lies at squared distance
-    c^2 + e^2 from a segment, e its excess beyond the segment's ends, and gets
-    nothing from it past 8 bandwidths. Segments spanning the pixel add a prefix
-    sum difference of weights times exp(-c^2/2h^2); only near ends take an exp.
+    bars is (m, 2) rows (birth, death), birth <= death, in grade units on the
+    line {(t, t + offset)}; weights include every per-bar factor. In the unit
+    square t lies t*s + shift along the line, s = hypot(1/span1, 1/span2), and
+    the whole line one distance across the diagonal. A pixel at c across the
+    line lies at squared distance c^2 + e^2 from a bar, e its excess beyond the
+    bar's ends, and gets nothing from it past 8 bandwidths. Bars spanning the
+    pixel add a prefix sum difference of weights times exp(-c^2/2h^2); only
+    near ends take an exp.
     """
-    x0, y0, x1, y1 = np.reshape(segments, (-1, 4)).T
+    bars = np.reshape(bars, (-1, 2))
     img = np.zeros(cfg.resolution[0] * cfg.resolution[1], dtype=np.float64)
-    if not len(x0):
+    m = len(bars)
+    if not m:
         return img.reshape(cfg.resolution)
-    ux, uy, (px_along, px_across) = _pixel_frame(cfg.resolution, cfg.box)
-    across = y0 * ux - x0 * uy
-    if np.ptp(across) > 1e-9:
-        raise ParameterError(f"segments lie on lines up to {np.ptp(across):.3g} apart, not one")
-    s0, s1, m = x0 * ux + y0 * uy, x1 * ux + y1 * uy, len(x0)
+    min1, min2, max1, max2 = cfg.box
+    span1, span2 = max1 - min1, max2 - min2
+    s, (px_along, px_across) = _pixel_frame(cfg.resolution, cfg.box)
+    shift = ((offset - min2) / span2**2 - min1 / span1**2) / s
+    across = (offset - min2 + min1) / (span1 * span2 * s)
+    lo, hi = (bars * s + shift).T
     margin = _CUTOFF_BANDWIDTHS * cfg.bandwidth
-    c2 = (px_across - across[0]) ** 2
+    c2 = (px_across - across) ** 2
     band = np.flatnonzero(c2 <= margin**2)
     along, c2 = px_along[band], c2[band]
-    by_hi, by_lo = np.argsort(np.maximum(s0, s1)), np.argsort(np.minimum(s0, s1))
+    by_hi, by_lo = np.argsort(hi), np.argsort(lo)
     # the sorted high ends, then the sorted low ends; weights and prefix sums in both orders
-    ends = np.concatenate((np.maximum(s0, s1)[by_hi], np.minimum(s0, s1)[by_lo]))
+    ends = np.concatenate((hi[by_hi], lo[by_lo]))
     w_end = np.ravel(weights)[np.concatenate((by_hi, by_lo))]
     cw = np.concatenate((np.zeros((2, 1)), np.cumsum(w_end.reshape(2, m), axis=1)), axis=1)
     hi, lo = ends[:m], ends[m:]
-    n_hi_lt = np.searchsorted(hi, along, "left")  # segments ending before the pixel
-    n_lo_le = np.searchsorted(lo, along, "right")  # segments starting at or before it
+    n_hi_lt = np.searchsorted(hi, along, "left")  # bars ending before the pixel
+    n_lo_le = np.searchsorted(lo, along, "right")  # bars starting at or before it
     inside = np.where(n_lo_le > n_hi_lt, cw[1, n_lo_le] - cw[0, n_hi_lt], 0.0)
     # ragged ranges of the ends within reach, high ends before the pixel and low
     # ends after it; the slack keeps every pair the cutoff rule lets through
@@ -142,17 +144,12 @@ def render_mpi(fb: FiberedBarcode, degree: int, cfg: MpiConfig) -> np.ndarray:
     """
     if degree not in fb.degrees_present:
         raise ParameterError(f"degree {degree} absent from barcode {fb.degrees_present}")
-    min1, min2, max1, max2 = cfg.box
-    span1, span2 = max1 - min1, max2 - min2
-    density = fb.grid.delta / float(np.hypot(span1, span2))
+    density = fb.grid.delta / float(np.hypot(cfg.box[2] - cfg.box[0], cfg.box[3] - cfg.box[1]))
     img = np.zeros(cfg.resolution, dtype=np.float64)
-    for offset, table in zip(fb.grid.offsets.tolist(), fb.barcodes):
-        birth, death = table[table[:, 2] == degree, :2].T
-        segments = np.column_stack(
-            ((birth - min1) / span1, (birth + offset - min2) / span2,
-             (death - min1) / span1, (death + offset - min2) / span2)
-        )
-        img += render_segments(segments, (death - birth) ** cfg.weight_power * density, cfg)
+    for i, offset in enumerate(fb.grid.offsets.tolist()):
+        bars = fb.bars_at(i, degree)[:, :2]
+        weights = (bars[:, 1] - bars[:, 0]) ** cfg.weight_power * density
+        img += render_segments(bars, offset, weights, cfg)
     return img
 
 
@@ -183,8 +180,7 @@ def build_features(
             degrees = tuple(range(len(f.dims)))
         fb = compute_fibered_barcode(f, grid, degrees, allow_clip=True)
         blocks = [render_mpi(fb, d, cfg).ravel() for d in sorted(degrees)]
-        layout = tuple((d, b.size) for d, b in zip(sorted(degrees), blocks))
-        out.append(FeatureVector(np.concatenate(blocks), layout))
+        out.append(FeatureVector(np.concatenate(blocks)))
     return out
 
 
@@ -239,4 +235,7 @@ def read_feature_bin(path) -> tuple[np.ndarray, np.ndarray]:
     if len(data) != expected:
         raise LengthError(f"feature file is {len(data)} bytes, expected {expected}")
     matrix = np.frombuffer(data, dtype="<f8", offset=12).reshape(count, dim)
-    return matrix[:, 1:].copy(), matrix[:, 0].astype(np.int64)
+    labels = matrix[:, 0]
+    if not np.all((labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))):
+        raise FormatError("feature labels must be integers in [0, 2**63)")
+    return matrix[:, 1:].copy(), labels.astype(np.int64)

@@ -236,6 +236,56 @@ def test_config_file_with_flag_override(tmp_path, toy_dataset):
     assert got["num_lines"] == 10  # config supplies the rest
 
 
+def test_missing_config_file_is_io_error(tmp_path, capsys):
+    assert main(["--config", str(tmp_path / "nope.json"), "stability"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["{\"num_lines\": 4,", "[1, 2]"], ids=["malformed", "not-an-object"])
+def test_bad_config_file_is_format_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "stability"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_unconvertible_config_value_names_the_option(tmp_path, toy_dataset, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"num_lines": "abc"}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "extract", "--dataset", str(toy_dataset),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --num-lines") and "'abc'" in err
+    assert not (out / "features_train.bin").exists()
+
+
+def test_unconvertible_dims_names_the_option(tmp_path, capsys):
+    assert run(["stability", "--out", tmp_path / "st", "--dims", "8xa"]) == 2
+    assert capsys.readouterr().err.startswith("error: --dims")
+
+
+def test_unconvertible_threads_env_names_the_variable(tmp_path, toy_dataset, monkeypatch, capsys):
+    monkeypatch.setenv("GLOG_THREADS", "abc")
+    assert run(extract_args(toy_dataset, tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: GLOG_THREADS")
+
+
+@pytest.mark.parametrize("label", [-1.0, 0.5], ids=["negative", "fractional"])
+def test_train_rejects_labels_that_are_not_class_indices(tmp_path, capsys, label):
+    from glogtda.vectorize import FeatureVector, write_feature_bin
+
+    out = tmp_path / "labels"
+    out.mkdir()
+    feats = [FeatureVector(row) for row in np.random.default_rng(5).random((4, 3))]
+    write_feature_bin(out / "features_train.bin", feats, [0, 1, 0, label])
+    write_feature_bin(out / "features_val.bin", feats, [0, 1, 0, 1])
+    assert run(["train", "--out", out, "--epochs", "2", "--patience", "2"]) == 2
+    assert "label" in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_eval_perfect_classifier_fixture(tmp_path):
     # separable 4D features: the trained model must reach ACC = AUC = 1.0
     rng = np.random.default_rng(0)
@@ -246,7 +296,7 @@ def test_eval_perfect_classifier_fixture(tmp_path):
         y = np.tile([0, 1], n // 2)
         x = r.normal(0, 0.2, (n, 4))
         x[y == 1, 0] += 4.0
-        return [FeatureVector(row, ((0, 4),)) for row in x], y
+        return [FeatureVector(row) for row in x], y
 
     out = tmp_path / "perfect"
     out.mkdir()
@@ -265,7 +315,7 @@ def test_eval_single_class_truth_is_error(tmp_path):
     out = tmp_path / "single"
     out.mkdir()
     rng = np.random.default_rng(4)
-    feats = [FeatureVector(rng.random(4), ((0, 4),)) for _ in range(8)]
+    feats = [FeatureVector(rng.random(4)) for _ in range(8)]
     write_feature_bin(out / "features_train.bin", feats, np.tile([0, 1], 4))
     write_feature_bin(out / "features_val.bin", feats, np.tile([0, 1], 4))
     write_feature_bin(out / "features_test.bin", feats, np.zeros(8, dtype=int))

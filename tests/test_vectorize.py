@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from glogtda import vectorize
 from glogtda.bifiltration import BiGradedField, compute_glog
 from glogtda.cubical_persistence import Bar
 from glogtda.errors import FormatError, LengthError, ParameterError
@@ -92,12 +93,14 @@ def test_single_bar_mass_wider_bandwidth():
 
 def test_weight_homogeneity_times_four():
     cfg = MpiConfig(box=(0.0, 0.0, 1.0, 1.0))
-    segments = np.array([[0.2, 0.2, 0.6, 0.6], [0.1, 0.5, 0.4, 0.8]])
+    # (birth, death) rows at offsets 0 and 0.4: on the unit box they run from
+    # (0.2, 0.2) to (0.6, 0.6) and from (0.1, 0.5) to (0.4, 0.8)
+    rows, offsets = np.array([[0.2, 0.6], [0.1, 0.4]]), (0.0, 0.4)
     weights = np.array([0.3, 1.1])
 
     def image(w):
-        # the two segments lie on different lines: one call per line
-        return sum(render_segments(s[None], x[None], cfg) for s, x in zip(segments, w))
+        # the two bars lie on different lines: one call per line
+        return sum(render_segments(r[None], b, x[None], cfg) for r, b, x in zip(rows, offsets, w))
 
     base = image(weights)
     scaled = image(4.0 * weights)
@@ -107,16 +110,9 @@ def test_weight_homogeneity_times_four():
     assert scaled.sum() == pytest.approx(4.0 * mass, rel=1e-15)
 
 
-def test_segments_on_different_lines_are_rejected():
-    cfg = MpiConfig(box=(0.0, 0.0, 1.0, 1.0))
-    segments = np.array([[0.2, 0.2, 0.6, 0.6], [0.1, 0.5, 0.4, 0.8]])
-    with pytest.raises(ParameterError):
-        render_segments(segments, np.array([0.3, 1.1]), cfg)
-
-
 def test_no_segments_render_zero():
     cfg = MpiConfig(box=(0.0, 0.0, 1.0, 1.0), resolution=(7, 5))
-    img = render_segments(np.empty((0, 4)), np.empty(0), cfg)
+    img = render_segments(np.empty((0, 2)), 0.0, np.empty(0), cfg)
     assert img.shape == (7, 5)
     assert (img == 0.0).all()
 
@@ -126,19 +122,16 @@ def test_gap_between_heavy_segments_reads_exactly_zero():
     # it: the weights before the gap sum in a different order by low end than
     # by high end, so a bare prefix-sum difference leaves rounding residue
     cfg = MpiConfig(box=(0.0, 0.0, 1.0, 1.0), bandwidth=0.01)
-    segments = np.array(
-        [[0.02, 0.02, 0.30, 0.30], [0.05, 0.05, 0.25, 0.25], [0.10, 0.10, 0.28, 0.28],
-         [0.70, 0.70, 0.95, 0.95]]
-    )
+    rows = np.array([[0.02, 0.30], [0.05, 0.25], [0.10, 0.28], [0.70, 0.95]])
     weights = np.array([1e6 / 3, 2e6 / 3, 1e6 / 7, 1e6])
-    img = render_segments(segments, weights, cfg)
+    img = render_segments(rows, 0.0, weights, cfg)
     assert (img[20:30, 20:30] == 0.0).all()
     assert img[10, 10] > 0.0 and img[40, 40] > 0.0
 
 
 def test_far_bar_contributes_nothing():
     cfg = MpiConfig(box=(0.0, 0.0, 1.0, 1.0), bandwidth=0.01)
-    img = render_segments(np.array([[2.0, 2.0, 2.5, 2.5]]), np.array([5.0]), cfg)
+    img = render_segments(np.array([[2.0, 2.5]]), 0.0, np.array([5.0]), cfg)
     assert img.sum() < 1e-6
 
 
@@ -146,7 +139,7 @@ def test_pixel_just_past_the_cutoff_reads_exactly_zero():
     cfg = MpiConfig(box=(0.0, 0.0, 1.0, 1.0), bandwidth=0.01)
     # a diagonal segment ending 8.000004 bandwidths before pixel (25, 25)
     end = 0.51 - 8 * cfg.bandwidth * (1 + 5e-7) / math.sqrt(2)
-    img = render_segments(np.array([[0.1, 0.1, end, end]]), np.array([1.0]), cfg)
+    img = render_segments(np.array([[0.1, end]]), 0.0, np.array([1.0]), cfg)
     assert img[25, 25] == 0.0 and img[24, 24] > 0.0
 
 
@@ -237,6 +230,29 @@ def test_zero_pixels_match_loop_reference(clipped_barcodes):
             assert np.array_equal(render_mpi(fb, degree, cfg) == 0.0, want == 0.0)
 
 
+def test_one_render_call_per_line_with_its_rows_and_offset(clipped_barcodes, monkeypatch):
+    # the bench's observer counts segments per render_segments call from its
+    # first positional argument, so each grid line must be drawn by its own
+    # call holding exactly that line's rows of the degree, at that line's offset
+    calls = []
+    render = vectorize.render_segments
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(vectorize, "render_segments", spy)
+    for fb, cfg in clipped_barcodes[::3]:
+        for degree in fb.degrees_present:
+            calls.clear()
+            render_mpi(fb, degree, cfg)
+            assert len(calls) == len(fb.grid)
+            for i, (rows, offset, *_) in enumerate(calls):
+                assert offset == fb.grid.offsets[i]
+                assert np.array_equal(rows, fb.bars_at(i, degree)[:, :2])
+            assert sum(len(rows) for rows, *_ in calls) > 0
+
+
 def test_render_missing_degree():
     grid = make_line_grid((0.0, 0.0, 1.0, 1.0), 3)
     fb = fibered_barcode(grid, [[]] * 3)
@@ -262,7 +278,6 @@ def test_feature_dimensions_2d_and_3d():
     cfg = MpiConfig(box=compute_global_box(fields2))
     feats = build_features(fields2, cfg, grid=make_line_grid(cfg.box, 8))
     assert all(len(f) == 5000 for f in feats)
-    assert feats[0].layout == ((0, 2500), (1, 2500))
     fields3 = [
         BiGradedField(g1=rng.random((4, 4, 4)), g2=rng.uniform(-1, 1, (4, 4, 4)))
         for _ in range(2)
@@ -270,7 +285,6 @@ def test_feature_dimensions_2d_and_3d():
     cfg3 = MpiConfig(box=compute_global_box(fields3))
     feats3 = build_features(fields3, cfg3, grid=make_line_grid(cfg3.box, 6))
     assert all(len(f) == 7500 for f in feats3)
-    assert feats3[0].layout == ((0, 2500), (1, 2500), (2, 2500))
 
 
 def test_features_nonnegative_finite_and_deterministic():
@@ -312,14 +326,14 @@ def test_compute_global_box_empty():
 
 
 def test_feature_csv_layout():
-    feats = [FeatureVector(np.array([0.5, 1.5]), ((0, 2),))]
+    feats = [FeatureVector(np.array([0.5, 1.5]))]
     csv = features_to_csv(feats, [3])
     assert csv == "3,0.5,1.5\n"
 
 
 def test_feature_bin_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    feats = [FeatureVector(rng.random(10), ((0, 10),)) for _ in range(4)]
+    feats = [FeatureVector(rng.random(10)) for _ in range(4)]
     labels = [0, 1, 1, 0]
     path = tmp_path / "f.bin"
     write_feature_bin(path, feats, labels)
@@ -333,7 +347,7 @@ def test_feature_bin_errors(tmp_path):
     path.write_bytes(b"XXXX" + bytes(8))
     with pytest.raises(FormatError):
         read_feature_bin(path)
-    feats = [FeatureVector(np.zeros(4), ((0, 4),))]
+    feats = [FeatureVector(np.zeros(4))]
     write_feature_bin(path, feats, [0])
     data = path.read_bytes()
     path.write_bytes(data[:-8])
@@ -346,3 +360,7 @@ def test_feature_bin_errors(tmp_path):
     with pytest.raises(FormatError) as err:
         read_feature_bin(path)
     assert err.type is FormatError
+    for label in (-1.0, 0.5, math.nan, math.inf, 1e300):
+        write_feature_bin(path, feats * 2, [0, label])
+        with pytest.raises(FormatError, match="label"):
+            read_feature_bin(path)
