@@ -62,9 +62,13 @@ def _load_config_file(path) -> dict:
 
 def _convert(name: str, value, kind):
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{name} got {value!r}: {exc}") from None
+    # int() alone would truncate 10.7 to 10, and read true as 1
+    if isinstance(value, bool) or kind is int and isinstance(value, float) and out != value:
+        raise ParameterError(f"{name} got {value!r}, not a {kind.__name__}")
+    return out
 
 
 def _merged(args: argparse.Namespace, key: str, default, kind=None):
@@ -121,6 +125,7 @@ def cmd_extract(args) -> int:
     bandwidth = _merged(args, "bandwidth", 0.01, float)
     weight_power = _merged(args, "weight_power", 2.0, float)
     resolution = _merged(args, "resolution", 50, int)
+    seed = _merged(args, "seed", 0, int)
     threads = _threads(args)
     if sigma_gauss not in SIGMA_GAUSS_CHOICES:
         raise ParameterError(
@@ -197,7 +202,7 @@ def cmd_extract(args) -> int:
             "box": list(cfg.box),
             "degrees": list(degrees),
             "feature_dim": len(degrees) * resolution * resolution,
-            "seed": _merged(args, "seed", 0, int),
+            "seed": seed,
             "rgb_to_gray": {split: ds.rgb_to_gray for split, ds in datasets.items()},
         },
     )

@@ -10,17 +10,16 @@ by construction and there is no grade precondition to check.
 
 compute_persistence ranks the voxel values, lifts the ranks to the cells by
 the same rule and orders the cells by one integer key each (rank, dimension,
-anchor). It pairs cells over the two-element field without a boundary-matrix
-reduction in degrees 0 and n-1: numpy finds the apparent pairs (Bauer,
-"Ripser", 2021) from neighbouring keys, and one elder-rule union-find pairs
-degree 0 and, by duality, degree n-1 on the dual graph of top cells plus an
-exterior node (Garin et al., "Duality in persistent homology of images",
-2020), which in 2D skips the edges degree 0 merged. Only the degrees in
-between (H1 of a 3D grid) reduce columns, and only those of the few cells
-left unpaired, which are the only ones sorted. The pairs of all passes
-become bars in one step. betti_oracle is a deliberately independent check:
-plain Gaussian elimination ranks of the boundary operators of a sublevel
-subcomplex.
+anchor). Its passes pair cells over the two-element field in degree order,
+each skipping the cells an earlier one paired (clearing): numpy finds the
+apparent pairs (Bauer, "Ripser", 2021) from neighbouring keys, an elder-rule
+union-find pairs degree 0, the degrees between (H1 of a 3D grid) reduce the
+coboundaries of the few cells left unpaired (de Silva et al., "Dualities in
+persistent (co)homology", 2011), and the union-find pairs degree n-1 on the
+dual graph of top cells plus an exterior node (Garin et al., "Duality in
+persistent homology of images", 2020). All pairs become bars in one step.
+betti_oracle is a deliberately independent check: plain Gaussian
+elimination ranks of the boundary operators of a sublevel subcomplex.
 """
 
 from __future__ import annotations
@@ -99,10 +98,15 @@ class _Structure:
         for j in range(2):
             self.wall_sides[index[faces[tops, j::2]], j] = index[tops][:, None]
         self.dim_anchor = self.cell_dims.astype(np.int64) * n_cells + flat
-
-    def counts_by_dim(self) -> dict[int, int]:
-        dims, counts = np.unique(self.cell_dims, return_counts=True)
-        return {int(d): int(c) for d, c in zip(dims, counts)}
+        # per k-cell with 0 < k < n-1 its cofaces, the cells it is a face of:
+        # two at most along each of its n-k even axes, -1 where there is none
+        self.cofaces = {}
+        for k in range(1, n - 1):
+            ups, cof = self.cells_of_dim[k + 1], np.full((self.cells_of_dim[k].size, 2 * n), -1)
+            for j in range(2 * n):
+                has = faces[ups, j] >= 0
+                cof[index[faces[ups[has], j]], j] = ups[has]
+            self.cofaces[k] = np.sort(cof, axis=1)[:, -2 * (n - k):]
 
 
 _structure_cache: dict[tuple[int, ...], _Structure] = {}
@@ -169,13 +173,6 @@ def build_complex(field: np.ndarray) -> CubicalComplex:
 _NO_COFACE = 2**63 - 1  # key of the exterior and of a missing coface
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def _elder_rule(node_keys: np.ndarray, links: np.ndarray, link_keys: np.ndarray,
                 link_ends: np.ndarray, apparent: np.ndarray, apparent_ends: np.ndarray,
                 paired: np.ndarray) -> tuple[list[int], list[int]]:
@@ -184,20 +181,24 @@ def _elder_rule(node_keys: np.ndarray, links: np.ndarray, link_keys: np.ndarray,
     start linked to the other end of their partner link, an older node.
     Returns the dying node ids and the merging link cells, marked paired."""
     parent = np.arange(node_keys.size)
-    parent[apparent] = apparent_ends.sum(axis=1) - apparent
+    parent[apparent] = apparent_ends[:, 0] + apparent_ends[:, 1] - apparent
     parent = parent.tolist()
     keys = node_keys.tolist()
     free = np.flatnonzero(~paired[links])
     free = free[np.argsort(link_keys[free])]
     dying, merging = [], []
     for cell, (a, b) in zip(links[free].tolist(), link_ends[free].tolist()):
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra == rb:
+        # find both roots, halving the paths on the way
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
             continue
-        if keys[ra] < keys[rb]:
-            ra, rb = rb, ra
-        parent[ra] = rb
-        dying.append(ra)
+        if keys[a] < keys[b]:
+            a, b = b, a
+        parent[a] = b
+        dying.append(a)
         merging.append(cell)
     paired[merging] = True
     return dying, merging
@@ -209,15 +210,16 @@ def compute_persistence(c: CubicalComplex) -> Barcode:
     Reads the voxel values only: a cell's grade is the max over its vertices,
     so there is no grade precondition. Cells are totally ordered by (grade,
     dimension, anchor position), one integer key each, so the output is
-    deterministic. Each pass yields (creator, destroyer) cell pairs: apparent
-    pairs (a cell's youngest face whose oldest coface is that cell) in bulk;
-    degree 0 and degree n-1, on the dual graph of top cells plus an exterior
-    node with negated keys, from one elder-rule union-find (in 2D the dual
-    pass skips the edges degree 0 merged, which by duality join nothing
-    there); the degrees between from sparse columns of the negative cells,
-    with apparent partners standing in as pivots. The full complex is
-    contractible, so the only infinite bar is the oldest vertex's. One step
-    turns the pairs into bars and discards the zero-length ones.
+    deterministic. Passes run in degree order, each yielding (creator,
+    destroyer) cell pairs and skipping the cells an earlier one paired:
+    apparent pairs (a cell's youngest face whose oldest coface is that cell)
+    in bulk; degree 0 by elder-rule union-find; each degree k from 1 to n-2
+    from the coboundaries of the unpaired k-cells, reduced in decreasing key
+    order with the minimum coface as pivot, apparent partners standing in;
+    degree n-1 by the same union-find on the dual graph of top cells plus an
+    exterior node with negated keys. The full complex is contractible, so
+    the only infinite bar is the oldest vertex's. One step turns the pairs
+    into bars and drops the zero-length ones.
     """
     st = c.structure
     n = len(st.dims)
@@ -228,8 +230,8 @@ def compute_persistence(c: CubicalComplex) -> Barcode:
     # rule; the sentinel cell n_cells ranks above every value
     values, vertex_rank = np.unique(c.field, return_inverse=True)
     rank = np.append(_lower_star(vertex_rank.reshape(st.dims)).ravel(), values.size)
-    # unique keys in (grade, dimension, anchor) order; key[-1] is a missing face
-    key = np.append(rank[:n_cells] * ((n + 1) * n_cells) + st.dim_anchor, -1)
+    # unique keys in (grade, dimension, anchor) order; key[-1] is a missing coface
+    key = np.append(rank[:n_cells] * ((n + 1) * n_cells) + st.dim_anchor, _NO_COFACE)
 
     # --- apparent pairs ------------------------------------------------------
     # along each axis of the doubled grid, a cell at an odd position has its
@@ -263,9 +265,42 @@ def compute_persistence(c: CubicalComplex) -> Barcode:
                                  index[lo[at_0]], st.edge_ends[index[up[at_0]]], paired)
     pairs += [(vertices[dying], merging), ([vertices[vertex_rank.argmin()]], [n_cells])]
 
+    # --- degrees 1..n-2: coboundary reduction of the unpaired cells ---------
+    # columns are sets of coface keys (key[-1] tops the rest, never a pivot),
+    # taken in decreasing key order, each pivot the minimum; partner[t] is the
+    # row of partner_cofaces holding the coboundary of apparent t's partner.
+    # Columns skip the cells earlier passes paired; pivots are marked paired
+    for k in range(1, n - 1):
+        cofaces = st.cofaces[k]
+        at_k = np.flatnonzero(lo_dims == k)
+        partner = np.full(n_cells, -1)
+        partner[up[at_k]] = np.arange(at_k.size)
+        partner_cofaces = key[cofaces[index[lo[at_k]]]]
+        pivots: dict[int, set[int]] = {}
+        cols = st.cells_of_dim[k]
+        cols = cols[~paired[cols]]
+        cols = cols[np.argsort(key[cols])[::-1]]
+        destroyers = []
+        for row in key[cofaces[index[cols]]].tolist():
+            col = set(row)
+            while True:
+                p = min(col)
+                other = pivots.get(p)
+                if other is None:
+                    q = partner.item(p % n_cells)  # an int indexes rows faster
+                    if q < 0:
+                        break
+                    other = pivots[p] = set(partner_cofaces[q].tolist())
+                col ^= other
+            pivots[p] = col
+            destroyers.append(p % n_cells)
+        paired[destroyers] = True
+        pairs.append((cols, destroyers))
+
     # --- degree n-1: top cells and the exterior joined across (n-1)-cells ----
     # in reverse key order; an apparent top cell dies into the other side of
-    # its youngest face, and the exterior is the oldest node
+    # its youngest face, and the exterior is the oldest node. The (n-1)-cells
+    # an earlier pass destroyed close dual cycles and are skipped
     if n >= 2:
         tops, walls = st.cells_of_dim[n], st.cells_of_dim[n - 1]
         at_top = lo_dims == n - 1
@@ -273,37 +308,6 @@ def compute_persistence(c: CubicalComplex) -> Barcode:
                                      st.wall_sides, index[up[at_top]],
                                      st.wall_sides[index[lo[at_top]]], paired)
         pairs.append((merging, tops[dying]))
-
-    # --- degrees n-2..1: sparse reduction of the unpaired (negative) cells ---
-    # columns are sets of face keys; partner[f] is the row of partner_faces
-    # holding the boundary of f's apparent partner
-    for k in range(n - 1, 1, -1):
-        at_k = np.flatnonzero(lo_dims == k - 1)
-        partner = np.full(n_cells, -1)
-        partner[lo[at_k]] = np.arange(at_k.size)
-        partner_faces = key[st.faces[up[at_k]]]
-        pivots: dict[int, set[int]] = {}
-        cols = st.cells_of_dim[k]
-        cols = cols[~paired[cols]]
-        cols = cols[np.argsort(key[cols])]
-        creators = []
-        for row in key[st.faces[cols]].tolist():
-            col = set(row)
-            col.discard(-1)
-            while True:
-                p = max(col)
-                other = pivots.get(p)
-                if other is None:
-                    q = partner[p % n_cells]
-                    if q < 0:
-                        break
-                    other = pivots[p] = set(partner_faces[q].tolist())
-                    other.discard(-1)
-                col ^= other
-            pivots[p] = col
-            creators.append(p % n_cells)
-        paired[creators] = True
-        pairs.append((creators, cols))
 
     # --- pairs to bars ---------------------------------------------------------
     # ranks order like the values they stand for; the sentinel reads +inf

@@ -95,15 +95,6 @@ class FiberedBarcode:
         table = self.barcodes[line_index]
         return table[table[:, 2] == degree]
 
-    def to_csv(self) -> str:
-        lines = ["offset,degree,birth,death,was_infinite"]
-        for offset, table in zip(self.grid.offsets.tolist(), self.barcodes):
-            for birth, death, degree, was_inf in table.tolist():
-                lines.append(
-                    f"{offset!r},{int(degree)},{birth!r},{death!r},{int(was_inf)}"
-                )
-        return "\n".join(lines) + "\n"
-
 
 def clip_bars(
     bars: Sequence[Bar],

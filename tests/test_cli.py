@@ -261,6 +261,22 @@ def test_unconvertible_config_value_names_the_option(tmp_path, toy_dataset, caps
     assert not (out / "features_train.bin").exists()
 
 
+@pytest.mark.parametrize("key, value", [("num_lines", 10.7), ("seed", True),
+                                        ("num_lines", float("inf"))],
+                         ids=["fractional", "boolean", "infinite"])
+def test_integer_option_rejects_non_integer_config_values(
+        tmp_path, toy_dataset, capsys, key, value):
+    # int() would slice 10 lines for 10.7, read true as seed 1 and raise
+    # OverflowError for Infinity
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "extract", "--dataset", str(toy_dataset),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --" + key.replace("_", "-"))
+    assert not (out / "features_train.bin").exists()
+
+
 def test_unconvertible_dims_names_the_option(tmp_path, capsys):
     assert run(["stability", "--out", tmp_path / "st", "--dims", "8xa"]) == 2
     assert capsys.readouterr().err.startswith("error: --dims")

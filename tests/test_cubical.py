@@ -41,7 +41,7 @@ def bars_set(bc, degree=None):
 def test_cell_counts_2x2():
     c = build_complex(np.array([[0.0, 1.0], [2.0, 3.0]]))
     assert c.n_cells == 9
-    assert c.structure.counts_by_dim() == {0: 4, 1: 4, 2: 1}
+    assert np.bincount(c.structure.cell_dims).tolist() == [4, 4, 1]
     # the unique square carries the max of all four values
     square = np.nonzero(c.structure.cell_dims == 2)[0][0]
     assert c.grades[square] == 3.0
@@ -56,7 +56,7 @@ def test_cell_counts_3x3_constant():
 def test_cell_counts_2x2x2():
     c = build_complex(np.zeros((2, 2, 2)))
     assert c.n_cells == 27
-    assert c.structure.counts_by_dim() == {0: 8, 1: 12, 2: 6, 3: 1}
+    assert np.bincount(c.structure.cell_dims).tolist() == [8, 12, 6, 1]
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (3, 2, 3)])
@@ -293,7 +293,8 @@ def test_pairing_matches_persistent_rank_oracle():
 @pytest.mark.parametrize(
     "shape",
     [(2, 2), (2, 5), (4, 7), (9, 9), (2, 2, 2), (2, 3, 4), (5, 4, 6), (7, 7, 7),
-     (2,), (9,), (2, 9), (2, 2, 9)],  # last four: 1D and slab shapes
+     (2,), (9,), (2, 9), (2, 2, 9),  # 1D and slab shapes
+     (2, 2, 2, 2), (3, 2, 3, 2), (3, 3, 3, 3)],  # 4D: two chained coboundary degrees
 )
 def test_engine_matches_bitset_reference(shape):
     # integer fields with few levels are full of ties, which the total order

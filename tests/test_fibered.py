@@ -226,17 +226,6 @@ def test_monotone_refinement():
     assert common == len(coarse)
 
 
-def test_fibered_csv():
-    f = BiGradedField(g1=np.zeros((3, 3)), g2=np.zeros((3, 3)))
-    grid = make_line_grid(f.box, 3)
-    fb = compute_fibered_barcode(f, grid)
-    csv = fb.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "offset,degree,birth,death,was_infinite"
-    assert len(lines) == 1 + sum(len(b) for b in fb.barcodes)
-    assert lines[1].endswith(",1")  # constant field bars are clipped essentials
-
-
 def test_one_complex_and_one_persistence_call_per_line(monkeypatch):
     # the bench's per-call observers count bars per compute_persistence call,
     # so each grid line must build its own complex, compute its own barcode
