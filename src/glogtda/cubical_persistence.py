@@ -17,7 +17,9 @@ union-find pairs degree 0, the degrees between (H1 of a 3D grid) reduce the
 coboundaries of the few cells left unpaired (de Silva et al., "Dualities in
 persistent (co)homology", 2011), and the union-find pairs degree n-1 on the
 dual graph of top cells plus an exterior node (Garin et al., "Duality in
-persistent homology of images", 2020). All pairs become bars in one step.
+persistent homology of images", 2020). All pairs become one (m, 3) table of
+(birth, death, degree) rows, and a call whose vertex ranks repeat the last
+call's exactly (an extreme line of a fibered barcode) reuses its pairing.
 betti_oracle is a deliberately independent check: plain Gaussian
 elimination ranks of the boundary operators of a sublevel subcomplex.
 """
@@ -41,25 +43,37 @@ class Bar(NamedTuple):
     degree: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Barcode:
-    """Multiset of persistence intervals, canonically sorted."""
+    """Multiset of persistence intervals, canonically sorted: a read-only
+    (m, 3) float64 table of rows (birth, death, degree), or of Bar tuples."""
 
-    bars: tuple[Bar, ...]
+    table: np.ndarray
 
-    def at_degree(self, degree: int) -> list[Bar]:
-        return [b for b in self.bars if b.degree == degree]
+    def __post_init__(self):
+        table = np.array(self.table, dtype=np.float64).reshape(-1, 3)
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
+
+    def __eq__(self, other):
+        return isinstance(other, Barcode) and np.array_equal(self.table, other.table)
+
+    @property
+    def bars(self) -> tuple[Bar, ...]:
+        """The rows as Bar tuples, for callers that still iterate bars."""
+        return tuple(Bar(b, d, int(k)) for b, d, k in self.table.tolist())
+
+    def at_degree(self, degree: int) -> np.ndarray:
+        return self.table[self.table[:, 2] == degree]
 
     def alive_count(self, t: float, degree: int) -> int:
         """Number of degree-k bars with birth <= t < death."""
-        return sum(1 for b in self.bars if b.degree == degree and b.birth <= t < b.death)
+        birth, death, deg = self.table.T
+        return int(np.count_nonzero((deg == degree) & (birth <= t) & (t < death)))
 
     def to_csv(self) -> str:
-        lines = ["degree,birth,death"]
-        for b in self.bars:
-            death = "inf" if b.death == INF else repr(b.death)
-            lines.append(f"{b.degree},{repr(b.birth)},{death}")
-        return "\n".join(lines) + "\n"
+        rows = (f"{int(k)},{b!r},{d!r}" for b, d, k in self.table.tolist())  # repr(INF) is inf
+        return "\n".join(["degree,birth,death", *rows]) + "\n"
 
 
 class _Structure:
@@ -69,8 +83,12 @@ class _Structure:
         self.dims = dims
         self.doubled = tuple(2 * d - 1 for d in dims)
         n = len(dims)
-        n_cells = int(np.prod(self.doubled))
-        self.n_cells = n_cells
+        self.n_cells = n_cells = math.prod(self.doubled)
+        # keys pack (rank, dim, cell) into int64 bit fields; every key stays below 2**62
+        cell_bits = (n_cells - 1).bit_length()
+        self.cell_mask, self.rank_shift = (1 << cell_bits) - 1, cell_bits + n.bit_length()
+        if self.rank_shift + (math.prod(dims) - 1).bit_length() > 62:
+            raise ShapeError(f"grid {dims} is too large for 64-bit cell keys")
 
         parity = np.indices(self.doubled).reshape(n, n_cells) % 2
         self.cell_dims = parity.sum(axis=0).astype(np.int8)
@@ -97,7 +115,7 @@ class _Structure:
         self.wall_sides = np.full((self.cells_of_dim[n - 1].size, 2), tops.size)
         for j in range(2):
             self.wall_sides[index[faces[tops, j::2]], j] = index[tops][:, None]
-        self.dim_anchor = self.cell_dims.astype(np.int64) * n_cells + flat
+        self.dim_anchor = (self.cell_dims.astype(np.int64) << cell_bits) | flat
         # per k-cell with 0 < k < n-1 its cofaces, the cells it is a face of:
         # two at most along each of its n-k even axes, -1 where there is none
         self.cofaces = {}
@@ -110,6 +128,8 @@ class _Structure:
 
 
 _structure_cache: dict[tuple[int, ...], _Structure] = {}
+# (vertex ranks, birth, death, degree) of the last call; replaced whole, read once per call
+_last_line: tuple[np.ndarray, ...] | None = None
 
 
 def _structure_for(dims: tuple[int, ...]) -> _Structure:
@@ -150,10 +170,6 @@ class CubicalComplex:
         return self.structure.dims
 
     @property
-    def n(self) -> int:
-        return len(self.structure.dims)
-
-    @property
     def n_cells(self) -> int:
         return self.structure.n_cells
 
@@ -173,10 +189,10 @@ def build_complex(field: np.ndarray) -> CubicalComplex:
 _NO_COFACE = 2**63 - 1  # key of the exterior and of a missing coface
 
 
-def _elder_rule(node_keys: np.ndarray, links: np.ndarray, link_keys: np.ndarray,
+def _elder_rule(node_keys: np.ndarray, links: np.ndarray, key: np.ndarray, sign: int,
                 link_ends: np.ndarray, apparent: np.ndarray, apparent_ends: np.ndarray,
                 paired: np.ndarray) -> tuple[list[int], list[int]]:
-    """Elder rule: nodes join across the unpaired links in link_keys order,
+    """Elder rule: nodes join across the unpaired links in order of sign * key,
     and at each merge the root with the larger node key dies. Apparent nodes
     start linked to the other end of their partner link, an older node.
     Returns the dying node ids and the merging link cells, marked paired."""
@@ -185,7 +201,7 @@ def _elder_rule(node_keys: np.ndarray, links: np.ndarray, link_keys: np.ndarray,
     parent = parent.tolist()
     keys = node_keys.tolist()
     free = np.flatnonzero(~paired[links])
-    free = free[np.argsort(link_keys[free])]
+    free = free[np.argsort(sign * key[links[free]])]
     dying, merging = [], []
     for cell, (a, b) in zip(links[free].tolist(), link_ends[free].tolist()):
         # find both roots, halving the paths on the way
@@ -219,26 +235,35 @@ def compute_persistence(c: CubicalComplex) -> Barcode:
     degree n-1 by the same union-find on the dual graph of top cells plus an
     exterior node with negated keys. The full complex is contractible, so
     the only infinite bar is the oldest vertex's. One step turns the pairs
-    into bars and drops the zero-length ones.
+    into bars and drops the zero-length ones. The pairing depends on the
+    ranks alone, so a call whose ranks equal the last call's reuses it.
     """
-    st = c.structure
-    n = len(st.dims)
-    n_cells = st.n_cells
-    index = st.index_in_dim
-
-    # rank the voxel values and lift the ranks to the cells by the lower-star
-    # rule; the sentinel cell n_cells ranks above every value
+    global _last_line
     values, vertex_rank = np.unique(c.field, return_inverse=True)
-    rank = np.append(_lower_star(vertex_rank.reshape(st.dims)).ravel(), values.size)
-    # unique keys in (grade, dimension, anchor) order; key[-1] is a missing coface
-    key = np.append(rank[:n_cells] * ((n + 1) * n_cells) + st.dim_anchor, _NO_COFACE)
+    vertex_rank = vertex_rank.reshape(c.dims)
+    last = _last_line
+    if last is None or not np.array_equal(last[0], vertex_rank):
+        last = _last_line = (vertex_rank, *_pair_ranks(c.structure, vertex_rank, values.size))
+    grade = np.append(values, INF)  # ranks order like their values; the sentinel is +inf
+    return Barcode(np.column_stack((grade[last[1]], grade[last[2]], last[3])))
+
+
+def _pair_ranks(st: _Structure, vertex_rank: np.ndarray, n_values: int) -> tuple:
+    """The passes: sorted (birth rank, death rank, degree) arrays; rank n_values is +inf."""
+    n, n_cells, mask, index = len(st.dims), st.n_cells, st.cell_mask, st.index_in_dim
+
+    # lift the ranks to the cells by the lower-star rule; the sentinel cell
+    # n_cells ranks above every value
+    rank = np.append(_lower_star(vertex_rank).ravel(), n_values)
+    # unique keys, bit fields (rank, dimension, cell); key[-1] is a missing coface
+    key = np.append((rank[:n_cells] << st.rank_shift) | st.dim_anchor, _NO_COFACE)
 
     # --- apparent pairs ------------------------------------------------------
     # along each axis of the doubled grid, a cell at an odd position has its
     # faces at the even positions either side, one at an even position its
     # cofaces at the odd ones
     grid = key[:n_cells].reshape(st.doubled)
-    youngest = np.full(st.doubled, -1, dtype=np.int64)
+    youngest = np.zeros(st.doubled, dtype=np.int64)
     oldest = np.full(st.doubled, _NO_COFACE, dtype=np.int64)
     for ax in range(n):
         odd, lower, upper = ((slice(None),) * ax + (slice(i, j, 2),)
@@ -246,36 +271,35 @@ def compute_persistence(c: CubicalComplex) -> Barcode:
         np.maximum(youngest[odd], np.maximum(grid[lower], grid[upper]), out=youngest[odd])
         np.minimum(oldest[lower], grid[odd], out=oldest[lower])
         np.minimum(oldest[upper], grid[odd], out=oldest[upper])
-    # a vertex's -1 wraps to the last cell, another vertex, whose oldest
-    # coface is an edge
-    youngest = youngest.ravel() % n_cells
+    # a vertex keeps 0, which names vertex 0, whose oldest coface is an edge
+    youngest = youngest.ravel() & mask
     up = np.flatnonzero(oldest.ravel()[youngest] == key[:n_cells])
     lo = youngest[up]
     paired = np.zeros(n_cells, dtype=bool)
     paired[lo] = paired[up] = True
     lo_dims = st.cell_dims[lo]
-    pairs = [(lo, up)]
+    live = rank[lo] < rank[up]  # most apparent pairs are zero-length
+    pairs = [(lo[live], up[live])]
 
     # --- degree 0: vertices joined across edges ------------------------------
     # an apparent vertex dies into the other end of its edge; the oldest
     # vertex pairs with the sentinel cell n_cells, of grade +inf
     vertices, edges = st.cells_of_dim[0], st.cells_of_dim[1]
     at_0 = lo_dims == 0
-    dying, merging = _elder_rule(key[vertices], edges, key[edges], st.edge_ends,
+    dying, merging = _elder_rule(key[vertices], edges, key, 1, st.edge_ends,
                                  index[lo[at_0]], st.edge_ends[index[up[at_0]]], paired)
     pairs += [(vertices[dying], merging), ([vertices[vertex_rank.argmin()]], [n_cells])]
 
     # --- degrees 1..n-2: coboundary reduction of the unpaired cells ---------
     # columns are sets of coface keys (key[-1] tops the rest, never a pivot),
     # taken in decreasing key order, each pivot the minimum; partner[t] is the
-    # row of partner_cofaces holding the coboundary of apparent t's partner.
+    # cofaces row of apparent t's partner, whose keys are read when t is a pivot.
     # Columns skip the cells earlier passes paired; pivots are marked paired
     for k in range(1, n - 1):
         cofaces = st.cofaces[k]
         at_k = np.flatnonzero(lo_dims == k)
         partner = np.full(n_cells, -1)
-        partner[up[at_k]] = np.arange(at_k.size)
-        partner_cofaces = key[cofaces[index[lo[at_k]]]]
+        partner[up[at_k]] = index[lo[at_k]]
         pivots: dict[int, set[int]] = {}
         cols = st.cells_of_dim[k]
         cols = cols[~paired[cols]]
@@ -287,13 +311,13 @@ def compute_persistence(c: CubicalComplex) -> Barcode:
                 p = min(col)
                 other = pivots.get(p)
                 if other is None:
-                    q = partner.item(p % n_cells)  # an int indexes rows faster
+                    q = partner.item(p & mask)  # an int indexes rows faster
                     if q < 0:
                         break
-                    other = pivots[p] = set(partner_cofaces[q].tolist())
+                    other = pivots[p] = set(key[cofaces[q]].tolist())
                 col ^= other
             pivots[p] = col
-            destroyers.append(p % n_cells)
+            destroyers.append(p & mask)
         paired[destroyers] = True
         pairs.append((cols, destroyers))
 
@@ -304,21 +328,17 @@ def compute_persistence(c: CubicalComplex) -> Barcode:
     if n >= 2:
         tops, walls = st.cells_of_dim[n], st.cells_of_dim[n - 1]
         at_top = lo_dims == n - 1
-        dying, merging = _elder_rule(-np.append(key[tops], _NO_COFACE), walls, -key[walls],
+        dying, merging = _elder_rule(-np.append(key[tops], _NO_COFACE), walls, key, -1,
                                      st.wall_sides, index[up[at_top]],
                                      st.wall_sides[index[lo[at_top]]], paired)
         pairs.append((merging, tops[dying]))
 
     # --- pairs to bars ---------------------------------------------------------
-    # ranks order like the values they stand for; the sentinel reads +inf
     creators, destroyers = (np.concatenate(cells).astype(np.int64) for cells in zip(*pairs))
     birth, death, degree = rank[creators], rank[destroyers], st.cell_dims[creators]
     keep = np.flatnonzero(death > birth)
     keep = keep[np.lexsort((death[keep], birth[keep], degree[keep]))]
-    grade = np.append(values, INF)
-    return Barcode(tuple(map(Bar._make, zip(
-        grade[birth[keep]].tolist(), grade[death[keep]].tolist(), degree[keep].tolist()
-    ))))
+    return birth[keep], death[keep], degree[keep]
 
 
 def betti_oracle(c: CubicalComplex, t: float) -> list[int]:

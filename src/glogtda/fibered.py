@@ -3,24 +3,25 @@ slope-1 lines covering the grade bounding box.
 
 Each line {(t, t + b)} turns the bi-graded field into a scalar field via
 max(g1, g2 - b); its sublevel barcode is the restriction of the two-parameter
-module to that line. clip_bars, the one place bars are clamped, clips them to
-the parameter interval [t_enter, t_exit] where the line crosses the box;
-infinite deaths become t_exit + delta (delta is the line spacing) and keep a
-was_infinite flag so vectorization sees finite mass without losing the
-information. Each line's clipped bars are one read-only (m, 4) float64 array
-of rows (birth, death, degree, was_infinite).
+module to that line. On the extreme lines, where the slice is g1 or g2 - b,
+the vertex ranks repeat and compute_persistence reuses the last pairing.
+clip_bars, the one place bars are clamped, takes each Barcode.table as is and
+clips it to the parameter interval [t_enter, t_exit] where the line crosses
+the box; infinite deaths become t_exit + delta (delta is the line spacing)
+and keep a was_infinite flag so vectorization sees finite mass without losing
+the information. Each line's clipped bars are one read-only (m, 4) float64
+array of rows (birth, death, degree, was_infinite).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .bifiltration import BiGradedField, Box, slice_scalar_field
-from .cubical_persistence import Bar, build_complex, compute_persistence
+from .cubical_persistence import build_complex, compute_persistence
 from .errors import ParameterError
 
 _DEGENERATE_WIDEN = 1e-6
@@ -96,14 +97,9 @@ class FiberedBarcode:
         return table[table[:, 2] == degree]
 
 
-def clip_bars(
-    bars: Sequence[Bar],
-    t_enter: float,
-    t_exit: float,
-    delta: float,
-    degrees: Sequence[int],
-) -> np.ndarray:
-    """Clip the bars of the given degrees to [t_enter, t_exit].
+def clip_bars(bars: np.ndarray, t_enter: float, t_exit: float, delta: float,
+              degrees: Sequence[int]) -> np.ndarray:
+    """Clip the (birth, death, degree) rows of the given degrees to [t_enter, t_exit].
 
     Births start at t_enter, finite deaths end by t_exit and infinite deaths
     become exactly t_exit + delta; bars that become empty are dropped, so an
@@ -113,8 +109,8 @@ def clip_bars(
     wherever barcodes from different one-parameter computations must stay
     comparable.
     """
-    table = np.fromiter(itertools.chain.from_iterable(bars), np.float64, 3 * len(bars)).reshape(-1, 3)
-    birth, death, degree = table[np.isin(table[:, 2], degrees)].T
+    table = np.asarray(bars, dtype=np.float64).reshape(-1, 3)
+    birth, death, degree = table[(table[:, 2, None] == np.asarray(degrees)).any(axis=1)].T
     was_inf = np.isinf(death)
     birth = np.maximum(birth, t_enter)
     death = np.where(was_inf, t_exit + delta, np.minimum(death, t_exit))
@@ -147,5 +143,5 @@ def compute_fibered_barcode(
     for offset in grid.offsets.tolist():
         barcode = compute_persistence(build_complex(slice_scalar_field(f, offset)))
         t_enter, t_exit = grid.crossing_interval(offset)
-        barcodes.append(clip_bars(barcode.bars, t_enter, t_exit, grid.delta, degrees))
+        barcodes.append(clip_bars(barcode.table, t_enter, t_exit, grid.delta, degrees))
     return FiberedBarcode(grid, tuple(barcodes), tuple(sorted(degrees)))

@@ -287,8 +287,8 @@ def check_decomposition(
         # the slice grades never drop below the field's true entry parameter,
         # which can exceed the grid's entry when a degenerate axis was widened
         t_enter = max(t_enter, min1, min2 - offset)
-        shifted = [(b.birth - offset, b.death - offset, b.degree) for b in bc2.bars]
-        merged = clip_bars(list(bc1.bars) + shifted, t_enter, t_exit, grid.delta, degrees)
+        shifted = bc2.table - (offset, offset, 0.0)  # bc2's bars on this line
+        merged = clip_bars(np.vstack((bc1.table, shifted)), t_enter, t_exit, grid.delta, degrees)
         actual = fb.barcodes[li][fb.barcodes[li][:, 2] >= 1]
         checked += len(actual)
         if not np.array_equal(merged, actual):

@@ -192,9 +192,8 @@ def features_to_csv(features: list[FeatureVector], labels) -> str:
     labels = np.asarray(labels).reshape(-1)
     if len(labels) != len(features):
         raise ParameterError("labels and features must have equal length")
-    rows = []
-    for lab, fv in zip(labels, features):
-        rows.append(",".join([str(int(lab))] + [repr(v) for v in fv.values.tolist()]))
+    rows = [",".join([str(int(lab)), *map(repr, fv.values.tolist())])
+            for lab, fv in zip(labels, features)]
     return "\n".join(rows) + "\n"
 
 

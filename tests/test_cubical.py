@@ -11,9 +11,12 @@ import pytest
 
 import glogtda
 from glogtda.bifiltration import compute_glog, slice_scalar_field
+from glogtda import cubical_persistence
 from glogtda.cubical_persistence import (
     Bar,
+    Barcode,
     CubicalComplex,
+    _structure_for,
     _matching_feasible,
     betti_oracle,
     bottleneck,
@@ -321,6 +324,99 @@ def test_engine_matches_bitset_reference_on_smoothed_volume_slices(case):
     for offset in grid.offsets[[12, 25, 37]]:
         c = build_complex(slice_scalar_field(field, float(offset)))
         assert compute_persistence(c) == reference_persistence.compute_persistence(c)
+
+
+def _count_pairings(monkeypatch):
+    # compute_persistence runs its passes only on a call the slot cannot serve
+    runs = []
+    pair_ranks = cubical_persistence._pair_ranks
+
+    def counted(*args):
+        runs.append(args[0].dims)
+        return pair_ranks(*args)
+
+    monkeypatch.setattr(cubical_persistence, "_pair_ranks", counted)
+    return runs
+
+
+def _assert_matches_reference(c):
+    bc = compute_persistence(c)
+    ref = reference_persistence.compute_persistence(c)
+    assert bc == ref and bc.to_csv() == ref.to_csv()
+    return bc
+
+
+def test_repeated_ranks_reuse_the_pairing_exactly(monkeypatch):
+    runs = _count_pairings(monkeypatch)
+    rng = np.random.default_rng(21)
+    for f in (rng.integers(0, 4, (6, 7)).astype(float), rng.random((5, 4, 3))):
+        # an increasing affine map keeps every rank and every tie
+        for g in (f, 2.5 * f - 1.25, 1e-3 * f + 7.0):
+            _assert_matches_reference(build_complex(g))
+    assert runs == [(6, 7), (5, 4, 3)]
+
+
+def test_a_merged_tie_is_not_served_from_the_slot(monkeypatch):
+    runs = _count_pairings(monkeypatch)
+    f = np.random.default_rng(22).permutation(30).reshape(5, 6).astype(float)
+    g = f.copy()
+    g[g == 17] = 16  # two values now tie, and every rank above drops by one
+    for field in (f, g, f):
+        _assert_matches_reference(build_complex(field))
+    assert len(runs) == 3
+
+
+def test_the_slot_never_serves_another_shape(monkeypatch):
+    # the same flat ranks on grids of other shapes or dimensions
+    runs = _count_pairings(monkeypatch)
+    flat = np.random.default_rng(23).permutation(16).astype(float)
+    shapes = [(4, 4), (2, 2, 4), (4, 4), (2, 8), (4, 2, 2), (4, 4)]
+    for shape in shapes:
+        _assert_matches_reference(build_complex(flat.reshape(shape)))
+    assert runs == shapes
+
+
+@pytest.mark.parametrize("case", ["disk-28x28", "noise-7x7x7"])
+def test_every_grid_line_matches_the_reference_with_and_without_the_slot(case, monkeypatch):
+    if case == "disk-28x28":
+        image = synthdata.disk_annulus_images(1, 28, seed=4)[0][0]
+        field = compute_glog(normalize(Volume(image)), 0.5, 1.0)
+    else:
+        rng = np.random.default_rng(4)
+        field = compute_glog(normalize(Volume(rng.integers(0, 256, (7, 7, 7)))), 1.0, 1.0)
+    grid = make_line_grid(field.box, 50)
+    complexes = [build_complex(slice_scalar_field(field, off)) for off in grid.offsets.tolist()]
+    runs = _count_pairings(monkeypatch)
+    served = [_assert_matches_reference(c) for c in complexes]
+    # the extreme lines, where the slice is g1 or g2 shifted, repeat ranks
+    assert 0 < len(grid) - len(runs) < len(grid)
+    for c, bc in zip(complexes, served):
+        cubical_persistence._last_line = None
+        assert _assert_matches_reference(c) == bc
+
+
+def test_barcode_table_is_read_only_and_sorted():
+    rng = np.random.default_rng(24)
+    bc = compute_persistence(build_complex(rng.integers(0, 6, (9, 8, 3)).astype(float)))
+    table = bc.table
+    assert table.dtype == np.float64 and table.shape == (len(bc.bars), 3)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    order = np.lexsort((table[:, 1], table[:, 0], table[:, 2]))
+    assert np.array_equal(order, np.arange(len(table)))
+    assert set(table[:, 2].tolist()) == {0.0, 1.0, 2.0}
+    # built from Bar tuples or from rows alike, without freezing the caller's rows
+    rows = np.array([[0.0, INF, 0.0], [0.5, 1.0, 1.0]])
+    assert Barcode((Bar(0.0, INF, 0), Bar(0.5, 1.0, 1))) == Barcode(rows)
+    assert rows.flags.writeable
+    assert Barcode(()).table.shape == (0, 3)
+
+
+def test_cell_keys_that_would_overflow_int64_are_refused():
+    # checked before any array of the grid's size is allocated
+    with pytest.raises(ShapeError, match="too large"):
+        _structure_for((2**20, 2**20))
 
 
 def test_one_parameter_stability():

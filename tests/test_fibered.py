@@ -229,7 +229,7 @@ def test_monotone_refinement():
 def test_one_complex_and_one_persistence_call_per_line(monkeypatch):
     # the bench's per-call observers count bars per compute_persistence call,
     # so each grid line must build its own complex, compute its own barcode
-    # and hand exactly those bars to clip_bars
+    # and hand exactly that barcode's table to clip_bars
     calls = []
 
     def spy(name, fn):
@@ -250,5 +250,5 @@ def test_one_complex_and_one_persistence_call_per_line(monkeypatch):
     for i in range(len(grid)):
         (_, _, complex_), (_, (arg,), barcode), (_, clip_args, clipped) = calls[3 * i: 3 * i + 3]
         assert arg is complex_
-        assert clip_args[0] is barcode.bars
+        assert clip_args[0] is barcode.table
         assert fb.barcodes[i] is clipped

@@ -331,6 +331,16 @@ def test_feature_csv_layout():
     assert csv == "3,0.5,1.5\n"
 
 
+def test_feature_csv_text_on_awkward_values():
+    # shortest round-trip reprs, signed zero, subnormals and labels near 2**63
+    feats = [FeatureVector(np.array([-0.0, 1e-300, 0.1 + 0.2, 5e-324])),
+             FeatureVector(np.array([1 / 3, 1e300, 2.0**53 + 2, 0.0]))]
+    csv = features_to_csv(feats, np.array([2**62, 2**63 - 1], dtype=np.int64))
+    assert csv == ("4611686018427387904,-0.0,1e-300,0.30000000000000004,5e-324\n"
+                   "9223372036854775807,0.3333333333333333,1e+300,9007199254740994.0,0.0\n")
+    assert features_to_csv([FeatureVector(np.array([]))], [7]) == "7\n"
+
+
 def test_feature_bin_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     feats = [FeatureVector(rng.random(10)) for _ in range(4)]
