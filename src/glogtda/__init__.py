@@ -86,9 +86,6 @@ from .volume_io import (
     normalize,
     read_npy,
     read_npz,
-    read_pgm,
-    write_npy,
-    write_npz,
 )
 
 __version__ = "0.1.0"

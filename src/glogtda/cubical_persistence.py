@@ -26,6 +26,7 @@ elimination ranks of the boundary operators of a sublevel subcomplex.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -127,16 +128,13 @@ class _Structure:
             self.cofaces[k] = np.sort(cof, axis=1)[:, -2 * (n - k):]
 
 
-_structure_cache: dict[tuple[int, ...], _Structure] = {}
 # (vertex ranks, birth, death, degree) of the last call; replaced whole, read once per call
 _last_line: tuple[np.ndarray, ...] | None = None
 
 
+@functools.cache
 def _structure_for(dims: tuple[int, ...]) -> _Structure:
-    st = _structure_cache.get(dims)
-    if st is None:
-        st = _structure_cache[dims] = _Structure(dims)
-    return st
+    return _Structure(dims)
 
 
 def _lower_star(a: np.ndarray) -> np.ndarray:

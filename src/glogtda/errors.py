@@ -11,7 +11,7 @@ class GlogError(Exception):
 
 
 class FormatError(GlogError):
-    """A binary container (NPY/NPZ/PGM/checkpoint/feature file) is malformed."""
+    """A binary container (NPY/NPZ/checkpoint/feature file) is malformed."""
 
 
 class UnsupportedFeatureError(GlogError):

@@ -25,6 +25,7 @@ from .cubical_persistence import build_complex, compute_persistence
 from .errors import ParameterError
 
 _DEGENERATE_WIDEN = 1e-6
+_COVER_TOL = 1e-9  # a box reaching this far past the grid's still counts as covered
 
 
 def widen_box(box: Box) -> Box:
@@ -60,13 +61,13 @@ class LineGrid:
         min1, min2, max1, max2 = self.box
         return max(min1, min2 - offset), min(max1, max2 - offset)
 
-    def covers(self, box: Box, tol: float = 1e-9) -> bool:
+    def covers(self, box: Box) -> bool:
         min1, min2, max1, max2 = self.box
         return (
-            min1 <= box[0] + tol
-            and min2 <= box[1] + tol
-            and max1 >= box[2] - tol
-            and max2 >= box[3] - tol
+            min1 <= box[0] + _COVER_TOL
+            and min2 <= box[1] + _COVER_TOL
+            and max1 >= box[2] - _COVER_TOL
+            and max2 >= box[3] - _COVER_TOL
         )
 
 

@@ -1,6 +1,6 @@
-"""Dataset ingestion: NPY/NPZ/PGM readers, grayscale conversion, normalization.
+"""Dataset ingestion: NPY/NPZ readers, grayscale conversion, normalization.
 
-NPY headers are read and written with numpy.lib.format, but the accepted set
+NPY headers are read with numpy.lib.format, but the accepted set
 is deliberately narrow: C-order u8/f32/f64 only, versions 1.0 and 2.0.
 Anything else errors loudly instead of guessing. NPZ archives are plain ZIP
 containers; only the stored and deflate methods are accepted.
@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedFeatureError,
 )
 
-# the only element types we decode or encode
+# the only element types we decode
 _SUPPORTED_DTYPES = (np.dtype("u1"), np.dtype("<f4"), np.dtype("<f8"))
 _HEADER_READERS = {
     (1, 0): npy_format.read_array_header_1_0,
@@ -129,16 +129,6 @@ def read_npy(data: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
-def write_npy(arr: np.ndarray) -> bytes:
-    """Encode an ndarray as NPY v1.0 (u8/f32/f64, C order)."""
-    arr = np.ascontiguousarray(arr)
-    if arr.dtype not in _SUPPORTED_DTYPES:
-        raise UnsupportedFeatureError(f"dtype {arr.dtype} not supported for writing")
-    fp = io.BytesIO()
-    npy_format.write_array(fp, arr, version=(1, 0))
-    return fp.getvalue()
-
-
 def read_npz(data: bytes, entry_name: str) -> np.ndarray:
     """Extract ``entry_name`` (without the .npy suffix) from an NPZ archive."""
     try:
@@ -160,48 +150,6 @@ def read_npz(data: bytes, entry_name: str) -> np.ndarray:
         except (zipfile.BadZipFile, zlib.error) as exc:
             raise FormatError(f"corrupt archive entry {entry_name!r}: {exc}") from exc
     return read_npy(payload)
-
-
-def write_npz(path, arrays: dict, compress: bool = False) -> None:
-    """Write named arrays to an NPZ archive (stored, or deflate if compress)."""
-    method = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
-    with zipfile.ZipFile(path, "w", compression=method) as zf:
-        for name, arr in arrays.items():
-            zf.writestr(name + ".npy", write_npy(arr))
-
-
-def read_pgm(data: bytes) -> np.ndarray:
-    """Read a binary PGM (P5, maxval 255) image into a uint8 array."""
-    pos = 0
-
-    def next_token():
-        nonlocal pos
-        while pos < len(data):
-            if data[pos : pos + 1].isspace():
-                pos += 1
-            elif data[pos : pos + 1] == b"#":
-                while pos < len(data) and data[pos] not in (10, 13):
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        return data[start:pos]
-
-    if next_token() != b"P5":
-        raise FormatError("not a P5 PGM")
-    try:
-        width, height, maxval = (int(next_token()) for _ in range(3))
-    except ValueError as exc:
-        raise FormatError("bad PGM header") from exc
-    if maxval != 255:
-        raise UnsupportedFeatureError(f"PGM maxval {maxval} not supported")
-    pos += 1  # single whitespace byte after maxval
-    payload = data[pos : pos + width * height]
-    if len(payload) != width * height:
-        raise LengthError("truncated PGM payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
 
 
 def grayscale_convert(rgb: np.ndarray) -> np.ndarray:

@@ -8,8 +8,6 @@ loading path as real datasets.
 
 import numpy as np
 
-from glogtda.volume_io import write_npz
-
 
 def disk_annulus_images(n, size=28, noise=0.05, seed=0):
     rng = np.random.default_rng(seed)
@@ -44,5 +42,5 @@ def write_split_npz(path, images, labels, split_sizes=(None, None, None)):
     for split, (lo, hi) in zip(("train", "val", "test"), bounds):
         arrays[f"{split}_images"] = images[lo:hi]
         arrays[f"{split}_labels"] = labels[lo:hi].reshape(-1, 1).astype(np.uint8)
-    write_npz(path, arrays)
+    np.savez(path, **arrays)  # stored NPY v1.0 members
     return path

@@ -146,27 +146,22 @@ def test_truncated_feature_file_is_format_error(tmp_path, capsys):
 
 
 def test_empty_dataset_is_parameter_error(tmp_path):
-    from glogtda.volume_io import write_npz
-
     path = tmp_path / "empty.npz"
-    write_npz(path, {
-        "train_images": np.zeros((0, 8, 8), dtype=np.uint8),
-        "train_labels": np.zeros((0, 1), dtype=np.uint8),
-    })
+    np.savez(path, train_images=np.zeros((0, 8, 8), dtype=np.uint8),
+             train_labels=np.zeros((0, 1), dtype=np.uint8))
     assert run(["extract", "--dataset", path, "--out", tmp_path / "o"]) == 2
 
 
 def test_mixed_2d_3d_splits_rejected(tmp_path, capsys):
-    from glogtda.volume_io import write_npz
-
     rng = np.random.default_rng(7)
     path = tmp_path / "mixed.npz"
-    write_npz(path, {
-        "train_images": rng.integers(0, 256, (4, 8, 8), dtype=np.uint8),
-        "train_labels": np.array([[0], [1], [0], [1]], dtype=np.uint8),
-        "test_images": rng.integers(0, 256, (2, 6, 8, 8), dtype=np.uint8),
-        "test_labels": np.array([[0], [1]], dtype=np.uint8),
-    })
+    np.savez(
+        path,
+        train_images=rng.integers(0, 256, (4, 8, 8), dtype=np.uint8),
+        train_labels=np.array([[0], [1], [0], [1]], dtype=np.uint8),
+        test_images=rng.integers(0, 256, (2, 6, 8, 8), dtype=np.uint8),
+        test_labels=np.array([[0], [1]], dtype=np.uint8),
+    )
     out = tmp_path / "o"
     assert run(["extract", "--dataset", path, "--out", out,
                 "--num-lines", "4", "--resolution", "8"]) == 2
@@ -176,7 +171,7 @@ def test_mixed_2d_3d_splits_rejected(tmp_path, capsys):
 
 def test_timing_reports_clipped_samples(tmp_path):
     from glogtda.bifiltration import compute_glog
-    from glogtda.volume_io import Volume, normalize, write_npz
+    from glogtda.volume_io import Volume, normalize
 
     # the val images are brighter than any train image, so every val grade box
     # reaches past the train box, which covers every train sample
@@ -184,10 +179,8 @@ def test_timing_reports_clipped_samples(tmp_path):
     train = rng.integers(0, 100, (4, 8, 8), dtype=np.uint8)
     val = rng.integers(150, 256, (3, 8, 8), dtype=np.uint8)
     path = tmp_path / "bright.npz"
-    write_npz(path, {
-        "train_images": train, "train_labels": np.array([[0], [1], [0], [1]], dtype=np.uint8),
-        "val_images": val, "val_labels": np.array([[0], [1], [0]], dtype=np.uint8),
-    })
+    np.savez(path, train_images=train, train_labels=np.array([[0], [1], [0], [1]], dtype=np.uint8),
+             val_images=val, val_labels=np.array([[0], [1], [0]], dtype=np.uint8))
     out = tmp_path / "o"
     assert run(["extract", "--dataset", path, "--out", out, "--num-lines", "4",
                 "--resolution", "8", "--sigma-gauss", "0.5"]) == 0
@@ -206,15 +199,13 @@ def test_timing_reports_clipped_samples(tmp_path):
 
 @pytest.mark.parametrize("shape, rgb", [((4, 8, 8, 3), True), ((4, 8, 8), False)])
 def test_extract_config_records_colour_interpretation(tmp_path, shape, rgb):
-    from glogtda.volume_io import load_dataset, write_npz
+    from glogtda.volume_io import load_dataset
 
     rng = np.random.default_rng(8)
     path = tmp_path / "colour.npz"
     labels = np.array([[0], [1], [0], [1]], dtype=np.uint8)
-    write_npz(path, {
-        "train_images": rng.integers(0, 256, shape, dtype=np.uint8), "train_labels": labels,
-        "val_images": rng.integers(0, 256, shape, dtype=np.uint8), "val_labels": labels,
-    })
+    np.savez(path, train_images=rng.integers(0, 256, shape, dtype=np.uint8), train_labels=labels,
+             val_images=rng.integers(0, 256, shape, dtype=np.uint8), val_labels=labels)
     assert load_dataset(path, "train").rgb_to_gray is rgb
     out = tmp_path / "o"
     assert run(["extract", "--dataset", path, "--out", out,

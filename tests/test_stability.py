@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from glogtda import cubical_persistence
 from glogtda.errors import ParameterError
 from glogtda.stability_harness import (
     check_decomposition,
@@ -41,6 +42,19 @@ def test_suite_reports_are_pure_functions_of_inputs():
     assert a == b
     payload = json.loads(a)
     assert payload["passed"] is True
+
+
+def test_suite_reuses_the_pairing_of_repeated_lines(monkeypatch):
+    pairings = []
+    pair_ranks = cubical_persistence._pair_ranks
+    monkeypatch.setattr(cubical_persistence, "_pair_ranks",
+                        lambda *args: pairings.append(1) or pair_ranks(*args))
+    trials, lines = 2, 50
+    rep = run_stability_suite(n_trials=trials, dims=(8, 8), seed=0, num_lines=lines)
+    assert rep.passed
+    # the extreme lines of each field repeat their ranks, which only
+    # consecutive calls on the same field can reuse
+    assert len(pairings) < 2 * lines * trials
 
 
 def test_suite_negative_control_bound_scale():
