@@ -42,8 +42,6 @@ from .fibered import (
     make_line_grid,
 )
 from .kernels import (
-    DiscreteKernel,
-    KernelSpec,
     continuum_lipschitz_bound,
     convolve,
     default_radius,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .kernels import KernelSpec, convolve, gaussian_kernel, log_kernel
+from .kernels import convolve, gaussian_kernel, log_kernel
 from .volume_io import Volume
 
 #: Bounding rectangle of grade pairs: (min1, min2, max1, max2).
@@ -68,8 +68,8 @@ def compute_glog(
     if sigma_gauss == 0:
         g1 = v.data.copy()
     else:
-        g1 = convolve(v.data, gaussian_kernel(KernelSpec(sigma_gauss, n)))
-    g2 = convolve(v.data, log_kernel(KernelSpec(sigma_log, n)))
+        g1 = convolve(v.data, gaussian_kernel(sigma_gauss, n))
+    g2 = convolve(v.data, log_kernel(sigma_log, n))
     return BiGradedField(g1=g1, g2=g2)
 
 

@@ -213,12 +213,20 @@ def cmd_extract(args) -> int:
     return 0
 
 
+def _read_features(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """read_feature_bin, refusing a table with no rows."""
+    x, y = read_feature_bin(path)
+    if len(y) == 0:
+        raise ParameterError(f"feature file {path} holds no samples")
+    return x, y
+
+
 def cmd_train(args) -> int:
     out_dir = Path(_merged(args, "out", "glog_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     feat_dir = Path(_merged(args, "features", out_dir))
-    train_x, train_y = read_feature_bin(feat_dir / "features_train.bin")
-    val_x, val_y = read_feature_bin(feat_dir / "features_val.bin")
+    train_x, train_y = _read_features(feat_dir / "features_train.bin")
+    val_x, val_y = _read_features(feat_dir / "features_val.bin")
     if train_x.shape[1] != val_x.shape[1]:
         raise FormatError(
             f"feature dims disagree: train {train_x.shape[1]} vs val {val_x.shape[1]}"
@@ -256,7 +264,7 @@ def cmd_eval(args) -> int:
     feat_dir = Path(_merged(args, "features", out_dir))
     checkpoint = Path(_merged(args, "checkpoint", out_dir / "checkpoint.bin"))
     model = load_checkpoint(checkpoint)
-    test_x, test_y = read_feature_bin(feat_dir / "features_test.bin")
+    test_x, test_y = _read_features(feat_dir / "features_test.bin")
     if test_x.shape[1] != model.layer_dims[0]:
         raise FormatError(
             f"feature dim {test_x.shape[1]} != model input {model.layer_dims[0]}"

@@ -125,21 +125,15 @@ def compute_fibered_barcode(
     f: BiGradedField,
     grid: LineGrid,
     degrees: Sequence[int] | None = None,
-    allow_clip: bool = False,
 ) -> FiberedBarcode:
     """Slice the field along every grid line and collect clipped barcodes.
 
-    The grid must cover the field's grade box; pass allow_clip=True to accept
-    out-of-box grades instead (their bars are clipped to the grid box, the
-    behaviour wanted when a dataset-global grid is applied to unseen samples).
+    Bars are clipped to the grid's box, which need not cover the field's
+    grades: a dataset-global grid is applied to unseen samples as is.
     """
     n = len(f.dims)
     if degrees is None:
         degrees = tuple(range(n))
-    if not allow_clip and not grid.covers(f.box):
-        raise ParameterError(
-            f"line grid box {grid.box} does not cover field box {f.box}"
-        )
     barcodes = []
     for offset in grid.offsets.tolist():
         barcode = compute_persistence(build_complex(slice_scalar_field(f, offset)))

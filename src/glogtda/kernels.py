@@ -17,7 +17,6 @@ an artificial dark frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,79 +28,56 @@ def default_radius(sigma: float) -> int:
     return max(1, math.ceil(3.0 * sigma))
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Parameters of a sampled kernel."""
-
-    sigma: float
-    dims_n: int
-
-    def __post_init__(self):
-        if self.dims_n not in (2, 3):
-            raise ParameterError(f"dims_n must be 2 or 3, got {self.dims_n}")
-        if self.sigma <= 0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
-
-    @property
-    def radius(self) -> int:
-        return default_radius(self.sigma)
-
-
-@dataclass(frozen=True)
-class DiscreteKernel:
-    """Sampled kernel weights on [-radius, radius]^dims_n (C-order array)."""
-
-    dims_n: int
-    radius: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        side = 2 * self.radius + 1
-        if w.shape != (side,) * self.dims_n:
-            raise ShapeError(f"weights must have shape {(side,) * self.dims_n}")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-
-def _squared_offsets(radius: int, n: int) -> np.ndarray:
+def _squared_offsets(sigma: float, n: int) -> np.ndarray:
+    """|a|^2 at every offset a of [-radius, radius]^n, radius = default_radius(sigma)."""
+    if n not in (2, 3):
+        raise ParameterError(f"n must be 2 or 3, got {n}")
+    if sigma <= 0:
+        raise ParameterError(f"sigma must be > 0, got {sigma}")
+    radius = default_radius(sigma)
     axes = np.arange(-radius, radius + 1, dtype=np.float64)
     grids = np.meshgrid(*([axes] * n), indexing="ij")
     return sum(g * g for g in grids)
 
 
-def gaussian_kernel(spec: KernelSpec) -> DiscreteKernel:
-    """Sample G at integer offsets and normalize the weights to sum to 1."""
-    r2 = _squared_offsets(spec.radius, spec.dims_n)
-    w = np.exp(-r2 / (2.0 * spec.sigma**2))
+def gaussian_kernel(sigma: float, n: int) -> np.ndarray:
+    """Sample G on [-radius, radius]^n, radius = default_radius(sigma), and
+    normalize the read-only float64 weights to sum to 1."""
+    r2 = _squared_offsets(sigma, n)
+    w = np.exp(-r2 / (2.0 * sigma**2))
     w /= w.sum()
-    return DiscreteKernel(spec.dims_n, spec.radius, w)
+    w.setflags(write=False)
+    return w
 
 
-def log_kernel(spec: KernelSpec) -> DiscreteKernel:
-    """Sample Lap G at integer offsets, then subtract the mean so the sum is 0."""
-    s2 = spec.sigma**2
-    r2 = _squared_offsets(spec.radius, spec.dims_n)
-    w = (r2 - spec.dims_n * s2) / (s2 * s2) * np.exp(-r2 / (2.0 * s2))
+def log_kernel(sigma: float, n: int) -> np.ndarray:
+    """Sample Lap G on [-radius, radius]^n, radius = default_radius(sigma), then
+    subtract the mean so the read-only float64 weights sum to 0."""
+    s2 = sigma**2
+    r2 = _squared_offsets(sigma, n)
+    w = (r2 - n * s2) / (s2 * s2) * np.exp(-r2 / (2.0 * s2))
     w -= w.mean()
-    return DiscreteKernel(spec.dims_n, spec.radius, w)
+    w.setflags(write=False)
+    return w
 
 
-def convolve(volume: np.ndarray, kernel: DiscreteKernel) -> np.ndarray:
+def convolve(volume: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Convolve a scalar field with a kernel under symmetric reflection.
 
-    out[x] = sum_a volume[reflect(x - a)] * weights[a]. Shape is preserved.
+    weights is an odd-sided cube with as many axes as the volume; its centre
+    is offset 0. out[x] = sum_a volume[reflect(x - a)] * weights[a]. Shape
+    is preserved.
     """
     arr = np.asarray(volume, dtype=np.float64)
-    if arr.ndim != kernel.dims_n:
+    if weights.ndim != arr.ndim or len(set(weights.shape)) != 1 or weights.shape[0] % 2 == 0:
         raise ShapeError(
-            f"volume is {arr.ndim}D but kernel expects {kernel.dims_n}D"
+            f"weights of shape {weights.shape} are not an odd-sided {arr.ndim}D cube"
         )
-    r = kernel.radius
+    r = weights.shape[0] // 2
     padded = np.pad(arr, r, mode="symmetric")
     out = np.zeros_like(arr)
-    for offset in np.ndindex(kernel.weights.shape):
-        w = kernel.weights[offset]
+    for offset in np.ndindex(weights.shape):
+        w = weights[offset]
         if w == 0.0:
             continue
         # offset a = offset - r; v[x - a] sits at padded[x + r - a]
@@ -112,9 +88,9 @@ def convolve(volume: np.ndarray, kernel: DiscreteKernel) -> np.ndarray:
     return out
 
 
-def lipschitz_constant(kernel: DiscreteKernel) -> float:
-    """Exact sup-norm operator bound of convolve with this kernel: sum |w|."""
-    return float(np.abs(kernel.weights).sum())
+def lipschitz_constant(weights: np.ndarray) -> float:
+    """Exact sup-norm operator bound of convolve with these weights: sum |w|."""
+    return float(np.abs(weights).sum())
 
 
 def continuum_lipschitz_bound(sigma: float, n: int) -> float:

@@ -24,15 +24,9 @@ import numpy as np
 
 from .bifiltration import BiGradedField, compute_glog, slice_scalar_field, sup_distance, union_box
 from .cubical_persistence import bottleneck, build_complex, compute_persistence
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 from .fibered import clip_bars, compute_fibered_barcode, make_line_grid
-from .kernels import (
-    KernelSpec,
-    continuum_lipschitz_bound,
-    gaussian_kernel,
-    lipschitz_constant,
-    log_kernel,
-)
+from .kernels import continuum_lipschitz_bound, gaussian_kernel, lipschitz_constant, log_kernel
 from .volume_io import Volume
 
 TOLERANCE = 1e-9
@@ -117,15 +111,19 @@ def run_stability_suite(
     bound_scale deliberately rescales the certified bound; anything other
     than 1.0 is for negative-control runs of the harness itself.
     """
+    if n_trials < 1:
+        raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     if noise_eps < 0:
         raise ParameterError(f"noise_eps must be >= 0, got {noise_eps}")
+    if any(d < 2 for d in dims):
+        raise ShapeError(f"every extent of dims must be >= 2, got {tuple(dims)}")
     rng = np.random.default_rng(seed)
     n = len(dims)
     if sigma_gauss > 0:
-        lip_gauss = lipschitz_constant(gaussian_kernel(KernelSpec(sigma_gauss, n)))
+        lip_gauss = lipschitz_constant(gaussian_kernel(sigma_gauss, n))
     else:
         lip_gauss = 1.0  # identity path
-    lip_log = lipschitz_constant(log_kernel(KernelSpec(sigma_log, n)))
+    lip_log = lipschitz_constant(log_kernel(sigma_log, n))
 
     # tightness witness: a constant shift passes through the mass-1 branch
     # unchanged, so the observed/bound ratio on that branch is 1 up to rounding
@@ -308,6 +306,8 @@ def run_decomposition_suite(
     """Randomized direct-sum certification, plus two fixed edge cases:
     geometry 0 has an empty second support, the last geometry deliberately
     overlaps (negative control, reported not-applicable)."""
+    if n_geometries < 1:
+        raise ParameterError(f"n_geometries must be >= 1, got {n_geometries}")
     rng = np.random.default_rng(seed)
     report = DecompositionReport(seed=seed, dims=tuple(dims), num_lines=num_lines)
     for idx in range(n_geometries):

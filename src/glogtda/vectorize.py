@@ -178,7 +178,7 @@ def build_features(
     for f in fields:
         if degrees is None:
             degrees = tuple(range(len(f.dims)))
-        fb = compute_fibered_barcode(f, grid, degrees, allow_clip=True)
+        fb = compute_fibered_barcode(f, grid, degrees)
         blocks = [render_mpi(fb, d, cfg).ravel() for d in sorted(degrees)]
         out.append(FeatureVector(np.concatenate(blocks)))
     return out

@@ -9,7 +9,7 @@ from glogtda.bifiltration import (
     union_box,
 )
 from glogtda.errors import ParameterError, ShapeError
-from glogtda.kernels import KernelSpec, gaussian_kernel, lipschitz_constant, log_kernel
+from glogtda.kernels import gaussian_kernel, lipschitz_constant, log_kernel
 from glogtda.volume_io import Volume
 
 from test_kernels import conv_oracle
@@ -40,7 +40,7 @@ def test_log_sign_pattern_on_bright_block():
     img = np.zeros((9, 9))
     img[3:6, 3:6] = 1.0
     f = compute_glog(Volume(img), 0.0, 1.0)
-    oracle = conv_oracle(img, log_kernel(KernelSpec(1.0, 2)))
+    oracle = conv_oracle(img, log_kernel(1.0, 2))
     np.testing.assert_allclose(f.g2, oracle, atol=1e-12)
     assert f.g2[4, 4] < 0  # block interior
     assert f.g2[4, 6] > 0 and f.g2[6, 4] > 0  # just outside the edge
@@ -112,8 +112,8 @@ def test_field_stability_bound():
     rng = np.random.default_rng(5)
     sg, sl = 1.0, 1.0
     lip = max(
-        lipschitz_constant(gaussian_kernel(KernelSpec(sg, 2))),
-        lipschitz_constant(log_kernel(KernelSpec(sl, 2))),
+        lipschitz_constant(gaussian_kernel(sg, 2)),
+        lipschitz_constant(log_kernel(sl, 2)),
     )
     for _ in range(10):
         u = rng.random((6, 6))

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -328,6 +329,34 @@ def test_eval_single_class_truth_is_error(tmp_path):
     write_feature_bin(out / "features_test.bin", feats, np.zeros(8, dtype=int))
     assert run(["train", "--out", out, "--epochs", "2", "--patience", "2"]) == 0
     assert run(["eval", "--out", out]) == 2  # undefined metric surfaces as error
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_empty_feature_table_is_error(tmp_path, capsys, command):
+    from glogtda.learn import init_model, model_dims_for, save_checkpoint
+    from glogtda.vectorize import FeatureVector, write_feature_bin
+
+    out = tmp_path / "empty"
+    out.mkdir()
+    feats = [FeatureVector(row) for row in np.random.default_rng(6).random((4, 4))]
+    write_feature_bin(out / "features_val.bin", feats, [0, 1, 0, 1])
+    save_checkpoint(out / "checkpoint.bin", init_model(model_dims_for(4, 2), 0))
+    empty = "features_train.bin" if command == "train" else "features_test.bin"
+    (out / empty).write_bytes(b"GLF1" + struct.pack("<II", 0, 5))  # no rows of width 5
+    assert run([command, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no samples" in err
+
+
+@pytest.mark.parametrize("args", [["stability", "--trials", "0"], ["stability", "--dims=-3x3"],
+                                  ["decomposition-demo", "--geometries", "-2"]],
+                         ids=["no-trials", "negative-extent", "negative-geometries"])
+def test_certification_without_work_is_error(tmp_path, capsys, args):
+    out = tmp_path / "cert"
+    assert run([*args, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not list(out.glob("*.json"))
 
 
 def test_threads_env_fallback(tmp_path, toy_dataset, monkeypatch):

@@ -155,15 +155,20 @@ def test_clip_bars_contract():
         assert out.tolist() == [[b_, d_, float(k_), float(i_)] for b_, d_, k_, i_ in want]
 
 
-def test_coverage_violation_raises_and_allow_clip():
-    f = BiGradedField(g1=np.array([[0.0, 2.0], [0.5, 1.0]]), g2=np.zeros((2, 2)))
+def test_out_of_box_grades_are_clipped_to_the_grid_box():
+    # grades reach past the grid box on every side, so bars are born before
+    # t_enter and die after t_exit
+    rng = np.random.default_rng(7)
+    f = BiGradedField(g1=rng.uniform(-0.5, 1.5, (6, 6)), g2=rng.uniform(-0.5, 1.5, (6, 6)))
     small = make_line_grid((0.0, 0.0, 1.0, 1.0), 5)
-    with pytest.raises(ParameterError):
-        compute_fibered_barcode(f, small)
-    fb = compute_fibered_barcode(f, small, allow_clip=True)
-    for bars in fb.barcodes:
-        birth = bars[:, 0]
-        assert ((birth >= small.box[0] - 1e-9) | (birth >= small.box[1] - 1e-9)).all()
+    assert not small.covers(f.box)
+    fb = compute_fibered_barcode(f, small)
+    assert sum(len(bars) for bars in fb.barcodes) > 0
+    for offset, bars in zip(small.offsets.tolist(), fb.barcodes):
+        t_enter, t_exit = small.crossing_interval(offset)
+        birth, death = bars[:, 0], bars[:, 1]
+        assert (birth >= t_enter).all()
+        assert (death <= t_exit + small.delta).all()
 
 
 def test_per_line_stability_of_clipped_barcodes():

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from glogtda import cubical_persistence
-from glogtda.errors import ParameterError
+from glogtda import cubical_persistence, stability_harness
+from glogtda.errors import ParameterError, ShapeError
 from glogtda.stability_harness import (
     check_decomposition,
     disjoint_support_pair,
@@ -68,6 +68,25 @@ def test_suite_negative_control_bound_scale():
 def test_suite_rejects_negative_eps():
     with pytest.raises(ParameterError):
         run_stability_suite(n_trials=1, noise_eps=-0.1)
+
+
+def test_suite_rejects_no_trials_and_short_extents(monkeypatch):
+    def no_fields(*args, **kwargs):
+        raise AssertionError("a field was computed before the arguments were checked")
+
+    monkeypatch.setattr(stability_harness, "compute_glog", no_fields)
+    for n_trials in (0, -1):
+        with pytest.raises(ParameterError):
+            run_stability_suite(n_trials=n_trials)
+    for dims in ((-3, 3), (1, 8), (8, 8, 0)):
+        with pytest.raises(ShapeError):
+            run_stability_suite(n_trials=1, dims=dims)
+
+
+def test_decomposition_suite_rejects_no_geometries():
+    for n_geometries in (0, -2):
+        with pytest.raises(ParameterError):
+            run_decomposition_suite(n_geometries=n_geometries)
 
 
 def test_suite_sigma_zero_identity_branch():

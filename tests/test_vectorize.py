@@ -207,7 +207,7 @@ def clipped_barcodes():
         cfg = MpiConfig(box=compute_global_box(fields[:-1]))
         grid = make_line_grid(cfg.box, 50)
         for f in fields:
-            fb = compute_fibered_barcode(f, grid, allow_clip=True)
+            fb = compute_fibered_barcode(f, grid)
             assert fb.degrees_present == tuple(range(len(f.dims)))
             out.append((fb, cfg))
     return out
