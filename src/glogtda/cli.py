@@ -68,6 +68,8 @@ def _convert(name: str, value, kind):
     # int() alone would truncate 10.7 to 10, and read true as 1
     if isinstance(value, bool) or kind is int and isinstance(value, float) and out != value:
         raise ParameterError(f"{name} got {value!r}, not a {kind.__name__}")
+    if kind is float and not np.isfinite(out):
+        raise ParameterError(f"{name} got {value!r}, not a finite number")
     return out
 
 
@@ -251,6 +253,7 @@ def cmd_train(args) -> int:
         "val_auc": auc(probs, val_y),
         "val_acc": accuracy(probs.argmax(axis=1), val_y),
         "epochs_run": len(history.rows),
+        "epoch_seconds": history.epoch_seconds,
         "num_classes": num_classes,
     }
     _write_json(out_dir / "train_metrics.json", metrics)

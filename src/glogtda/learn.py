@@ -10,7 +10,8 @@ are bit-reproducible.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +31,10 @@ HIDDEN_WIDTHS = (256, 128, 64)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# elements per Adam chunk: 256 KiB per float64 buffer, so a chunk of a
+# parameter, its moments, its gradient and the two scratch buffers fit in L2
+_ADAM_CHUNK = 32768
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.learning_rate, self.epochs, self.batch_size, self.patience) <= 0:
             raise ParameterError("learning_rate, epochs, batch_size, patience must be > 0")
+        if not np.isfinite(self.learning_rate):  # NaN passes the comparison above
+            raise ParameterError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.patience > self.epochs:
             raise ParameterError("patience must not exceed epochs")
 
@@ -131,6 +138,8 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
 @dataclass
 class TrainHistory:
     rows: list[tuple[int, float, float]]  # (epoch, train_loss, val_auc)
+    # wall seconds per epoch; kept out of rows so to_csv stays reproducible
+    epoch_seconds: list[float] = field(default_factory=list)
 
     def to_csv(self) -> str:
         lines = ["epoch,train_loss,val_auc"]
@@ -163,6 +172,12 @@ def train(
     params = (*model.weights, *model.biases)
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
+    # the update runs elementwise over flat chunks, every intermediate in one
+    # of two scratch buffers: the same ops in the same order as the textbook
+    # expression, so the result is bit-identical, without per-step temporaries
+    flat = [(p.reshape(-1), mp.reshape(-1), vp.reshape(-1)) for p, mp, vp in zip(params, m, v)]
+    scratch_a = np.empty(_ADAM_CHUNK)
+    scratch_b = np.empty(_ADAM_CHUNK)
     step = 0
 
     best_auc = -np.inf
@@ -170,6 +185,7 @@ def train(
     stale = 0
     history = TrainHistory([])
     for epoch in range(1, cfg.epochs + 1):
+        t0 = time.perf_counter()
         perm = rng.permutation(len(train_x))
         losses, weights_of = [], []
         for start in range(0, len(perm), cfg.batch_size):
@@ -180,18 +196,34 @@ def train(
             step += 1
             bc1 = 1.0 - ADAM_BETA1**step
             bc2 = 1.0 - ADAM_BETA2**step
-            for p, mp, vp, g in zip(params, m, v, (*gw, *gb)):
-                mp *= ADAM_BETA1
-                mp += (1.0 - ADAM_BETA1) * g
-                vp *= ADAM_BETA2
-                vp += (1.0 - ADAM_BETA2) * (g * g)
-                p -= cfg.learning_rate * (mp / bc1) / (np.sqrt(vp / bc2) + ADAM_EPS)
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), after the moment updates
+            for (p, mp, vp), g in zip(flat, (*gw, *gb)):
+                g = g.reshape(-1)
+                for lo in range(0, p.size, _ADAM_CHUNK):
+                    hi = min(lo + _ADAM_CHUNK, p.size)
+                    P, M, V, G = p[lo:hi], mp[lo:hi], vp[lo:hi], g[lo:hi]
+                    a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+                    M *= ADAM_BETA1
+                    np.multiply(G, 1.0 - ADAM_BETA1, out=a)
+                    M += a
+                    V *= ADAM_BETA2
+                    np.multiply(G, G, out=a)
+                    a *= 1.0 - ADAM_BETA2
+                    V += a
+                    np.divide(M, bc1, out=a)
+                    a *= cfg.learning_rate
+                    np.divide(V, bc2, out=b)
+                    np.sqrt(b, out=b)
+                    b += ADAM_EPS
+                    a /= b
+                    P -= a
         train_loss = float(np.average(losses, weights=weights_of))
         val_auc = auc(forward(model, val_x), val_y)
         history.rows.append((epoch, train_loss, val_auc))
         if val_auc >= best_auc:
             # ties keep the more-trained model; only strict gains reset patience
             best_model = model.copy()
+        history.epoch_seconds.append(time.perf_counter() - t0)
         if val_auc > best_auc:
             best_auc = val_auc
             stale = 0

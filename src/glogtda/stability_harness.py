@@ -115,8 +115,12 @@ def run_stability_suite(
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     if noise_eps < 0:
         raise ParameterError(f"noise_eps must be >= 0, got {noise_eps}")
+    if len(dims) not in (2, 3):
+        raise ShapeError(f"dims must have 2 or 3 extents, got {tuple(dims)}")
     if any(d < 2 for d in dims):
         raise ShapeError(f"every extent of dims must be >= 2, got {tuple(dims)}")
+    if not sigma_log > 0:
+        raise ParameterError(f"sigma_log must be > 0, got {sigma_log}")
     rng = np.random.default_rng(seed)
     n = len(dims)
     if sigma_gauss > 0:

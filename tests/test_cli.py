@@ -84,6 +84,21 @@ def test_extract_parallel_matches_serial(tmp_path, toy_dataset):
     ).read_bytes()
 
 
+def test_train_metrics_time_every_epoch(tmp_path):
+    from glogtda.vectorize import FeatureVector, write_feature_bin
+
+    out = tmp_path / "timed"
+    out.mkdir()
+    feats = [FeatureVector(row) for row in np.random.default_rng(8).random((6, 3))]
+    for split in ("train", "val"):
+        write_feature_bin(out / f"features_{split}.bin", feats, [0, 1, 0, 1, 0, 1])
+    assert run(["train", "--out", out, "--epochs", "3", "--patience", "3"]) == 0
+    metrics = json.loads((out / "train_metrics.json").read_text())
+    assert metrics["epochs_run"] > 0
+    assert len(metrics["epoch_seconds"]) == metrics["epochs_run"]
+    assert all(s > 0 for s in metrics["epoch_seconds"])
+
+
 def test_train_determinism(tmp_path, toy_dataset):
     out = tmp_path / "run"
     assert run(extract_args(toy_dataset, out)) == 0
@@ -267,6 +282,34 @@ def test_integer_option_rejects_non_integer_config_values(
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: --" + key.replace("_", "-"))
     assert not (out / "features_train.bin").exists()
+
+
+@pytest.mark.parametrize("args", [["train", "--learning-rate", "nan"],
+                                  ["stability", "--sigma-log", "nan"],
+                                  ["stability", "--noise-eps", "inf"]],
+                         ids=["nan-learning-rate", "nan-sigma-log", "infinite-noise"])
+def test_float_option_rejects_non_finite_values(tmp_path, capsys, args):
+    from glogtda.vectorize import FeatureVector, write_feature_bin
+
+    out = tmp_path / "nonfinite"
+    out.mkdir()
+    feats = [FeatureVector(row) for row in np.random.default_rng(7).random((4, 3))]
+    for split in ("train", "val"):
+        write_feature_bin(out / f"features_{split}.bin", feats, [0, 1, 0, 1])
+    assert run([*args, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + args[1]) and "Traceback" not in err
+    assert not list(out.glob("*.json")) and not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("args, option", [(["--sigma-log", "0"], "sigma_log"),
+                                          (["--dims", "8x8x8x8"], "dims")],
+                         ids=["zero-sigma-log", "four-extents"])
+def test_stability_errors_name_the_option(tmp_path, capsys, args, option):
+    out = tmp_path / "st"
+    assert run(["stability", "--out", out, "--trials", "1", *args]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option} ")
+    assert not list(out.glob("*.json"))
 
 
 def test_unconvertible_dims_names_the_option(tmp_path, capsys):

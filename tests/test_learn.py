@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from glogtda import learn
 from glogtda.errors import (
     FormatError,
     LengthError,
@@ -219,6 +221,62 @@ def test_train_equals_textbook_adam_loop():
         assert np.array_equal(got, want)
 
 
+def textbook_adam(m0, x, y, cfg):
+    """The Adam update written out whole-array per step, as in Kingma and Ba."""
+    n_layers = len(m0.weights)
+    params = [p.copy() for p in m0.weights + m0.biases]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(cfg.rng_seed)
+    t = 0
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(x))
+        for start in range(0, len(x), cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            model = MlpModel(tuple(params[:n_layers]), tuple(params[n_layers:]))
+            _, gw, gb = loss_and_grads(model, x[idx], y[idx])
+            t += 1
+            for i, g in enumerate(gw + gb):
+                m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
+                v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g**2
+                m_hat = m[i] / (1 - ADAM_BETA1**t)
+                v_hat = v[i] / (1 - ADAM_BETA2**t)
+                params[i] = params[i] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return params
+
+
+def test_train_equals_textbook_adam_loop_across_chunks():
+    # 300 inputs give a 256 x 300 first layer of 76,800 weights: two full
+    # update chunks of 32,768 and a partial one
+    x, y = separable_data(30, 300, 43)
+    val_x, val_y = np.zeros((2, 300)), np.array([0, 1])
+    cfg = TrainConfig(epochs=3, patience=3, batch_size=8, rng_seed=44)
+    m0 = init_model((300, 256, 128, 64, 2), seed=45)
+    assert m0.weights[0].size > 2 * learn._ADAM_CHUNK
+    assert m0.weights[0].size % learn._ADAM_CHUNK
+    trained, history = train(m0, x, y, val_x, val_y, cfg)
+    assert len(history.rows) == 3
+    for got, want in zip(trained.weights + trained.biases, textbook_adam(m0, x, y, cfg)):
+        assert np.array_equal(got, want)
+
+
+def test_train_peak_memory_has_no_parameter_sized_temporaries():
+    # the model, its two moments, the gradients and two snapshots (the best
+    # and the one replacing it) make about 6x the parameter bytes; Adam
+    # temporaries the size of a parameter push the peak past 7x
+    x, y = separable_data(64, 3000, 46)
+    m0 = init_model((3000, 256, 128, 64, 2), seed=47)
+    param_bytes = sum(p.nbytes for p in m0.weights + m0.biases)
+    cfg = TrainConfig(epochs=2, patience=2, rng_seed=48)
+    tracemalloc.start()
+    try:
+        train(m0, x, y, x, y, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * param_bytes
+
+
 def test_training_determinism():
     x, y = separable_data(60, 5, 13)
     cfg = TrainConfig(epochs=5, patience=5, rng_seed=14)
@@ -241,6 +299,9 @@ def test_train_config_validation():
         TrainConfig(patience=200, epochs=100)
     with pytest.raises(ParameterError):
         TrainConfig(learning_rate=0.0)
+    for rate in (float("nan"), float("inf")):  # NaN compares False with <= 0
+        with pytest.raises(ParameterError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
 
 
 # --- metrics ----------------------------------------------------------------------

@@ -83,6 +83,19 @@ def test_suite_rejects_no_trials_and_short_extents(monkeypatch):
             run_stability_suite(n_trials=1, dims=dims)
 
 
+def test_suite_checks_sigma_log_and_rank_before_any_field(monkeypatch):
+    def no_fields(*args, **kwargs):
+        raise AssertionError("a field was computed before the arguments were checked")
+
+    monkeypatch.setattr(stability_harness, "compute_glog", no_fields)
+    for sigma_log in (0.0, -1.0, float("nan")):
+        with pytest.raises(ParameterError, match="^sigma_log"):
+            run_stability_suite(n_trials=1, sigma_log=sigma_log)
+    for dims in ((8,), (8, 8, 8, 8)):
+        with pytest.raises(ShapeError, match="^dims"):
+            run_stability_suite(n_trials=1, dims=dims)
+
+
 def test_decomposition_suite_rejects_no_geometries():
     for n_geometries in (0, -2):
         with pytest.raises(ParameterError):
