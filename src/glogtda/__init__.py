@@ -29,7 +29,6 @@ from .errors import (
     LengthError,
     NotFoundError,
     ParameterError,
-    PreconditionError,
     ShapeError,
     UndefinedMetricError,
     UnsupportedFeatureError,

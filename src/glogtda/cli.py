@@ -1,6 +1,14 @@
 """Command-line front door: extract -> train -> eval, plus the certification
 suites. Every command is deterministic given (config, seed) and writes only
 under the configured output directory (atomically, via temp file + rename).
+
+OPTIONS states each option once, as {name: (kind, default, help)} per
+command: build_parser adds one flag per entry, and _options resolves each
+to its flag, else its config-file value, else its default, and converts it
+with kind. Flags and config values thus fail alike, with exit 2 and an
+`error: --flag` line. A config file may hold the options of any command, so
+one file serves extract, train and eval, but no other key. A default of
+None is filled in by the command from other values.
 """
 
 from __future__ import annotations
@@ -37,6 +45,61 @@ SIGMA_GAUSS_CHOICES = (0.0, 0.5, 1.0, 1.5)
 SPLITS = ("train", "val", "test")
 
 
+def _text(value) -> str:
+    """A path option; a flag is always a string, a config value must be one."""
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
+
+
+def _dims(value) -> tuple[int, ...]:
+    return tuple(int(d) for d in str(value).split("x"))
+
+
+_COMMON = {"out": (_text, "glog_out", "output directory"), "seed": (int, 0, "RNG seed")}
+OPTIONS = {
+    "extract": {
+        **_COMMON,
+        "dataset": (_text, None, "NPZ with {split}_images/{split}_labels (required)"),
+        "sigma_gauss": (float, 0.5, "smoothing sigma, one of 0/0.5/1/1.5"),
+        "sigma_log": (float, 1.0, "edge-response sigma"),
+        "num_lines": (int, 50, "slicing lines"),
+        "bandwidth": (float, 0.01, "image kernel width"),
+        "weight_power": (float, 2.0, "persistence weight exponent"),
+        "resolution": (int, 50, "image side in pixels"),
+        "threads": (int, None, "worker processes (default $GLOG_THREADS or 1)"),
+    },
+    "train": {
+        **_COMMON,
+        "features": (_text, None, "directory with features_{split}.bin (default --out)"),
+        "learning_rate": (float, 0.001, "Adam step size"),
+        "epochs": (int, 100, "most epochs to run"),
+        "batch_size": (int, 32, "rows per Adam step"),
+        "patience": (int, 20, "epochs without a val AUC gain before stopping"),
+    },
+    "eval": {
+        **_COMMON,
+        "features": (_text, None, "directory with features_test.bin (default --out)"),
+        "checkpoint": (_text, None, "model file (default <out>/checkpoint.bin)"),
+    },
+    "stability": {
+        **_COMMON,
+        "trials": (int, 10, "trials per sigma"),
+        "noise_eps": (float, 0.1, "perturbation amplitude"),
+        "dims": (_dims, "8x8", "grid dims"),
+        "sigma_gauss": (float, None, "run a single sigma instead of the 0.5/1/1.5 sweep"),
+        "sigma_log": (float, 1.0, "edge-response sigma"),
+        "num_lines": (int, 50, "slicing lines"),
+        "debug_bound_scale": (float, 1.0, "rescale the certified bound (negative-control only)"),
+    },
+    "decomposition-demo": {
+        **_COMMON,
+        "geometries": (int, 20, "random geometries"),
+        "num_lines": (int, 30, "slicing lines"),
+    },
+}
+
+
 def _atomic_write(path: Path, data) -> None:
     tmp = path.with_name(path.name + ".tmp")
     mode = "wb" if isinstance(data, bytes) else "w"
@@ -57,6 +120,9 @@ def _load_config_file(path) -> dict:
             raise FormatError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise FormatError("config file must hold a JSON object")
+    unknown = sorted(set(cfg).difference(*OPTIONS.values()))
+    if unknown:
+        raise ParameterError(f"config file {path} sets unknown options {', '.join(unknown)}")
     return cfg
 
 
@@ -73,24 +139,25 @@ def _convert(name: str, value, kind):
     return out
 
 
-def _merged(args: argparse.Namespace, key: str, default, kind=None):
-    """Flag value if given, else config-file value, else default; a value
-    other than the default is converted by kind, if given."""
-    val = getattr(args, key, None)
-    if val is None:
-        val = args.config_values.get(key, default)
-    if kind is None or val is default:
-        return val
-    return _convert("--" + key.replace("_", "-"), val, kind)
+def _options(args: argparse.Namespace) -> argparse.Namespace:
+    """Every option of args.command: the flag, else the config-file value,
+    else the default, converted by its kind unless it is a default of None."""
+    config = _load_config_file(args.config) if args.config else {}
+    resolved = {}
+    for key, (kind, default, _) in OPTIONS[args.command].items():
+        val = getattr(args, key)
+        if val is None:
+            val = config.get(key, default)
+        if val is not None or key in config:  # a config null fails to convert
+            val = _convert("--" + key.replace("_", "-"), val, kind)
+        resolved[key] = val
+    return argparse.Namespace(**resolved)
 
 
-def _threads(args) -> int:
-    t = _merged(args, "threads", None, int)
-    if t is None:
-        t = _convert("GLOG_THREADS", os.environ.get("GLOG_THREADS", "1"), int)
-    if t < 1:
-        raise ParameterError(f"--threads must be >= 1, got {t}")
-    return t
+def _out_dir(o) -> Path:
+    out_dir = Path(o.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 _WORK = {}
@@ -115,33 +182,27 @@ def _clip_report(boxes, grid, box) -> dict:
             "max_excess": float(reach.max(initial=0.0))}
 
 
-def cmd_extract(args) -> int:
-    dataset_path = _merged(args, "dataset", None)
-    if not dataset_path:
+def cmd_extract(o) -> int:
+    if not o.dataset:
         raise ParameterError("--dataset is required")
-    out_dir = Path(_merged(args, "out", "glog_out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sigma_gauss = _merged(args, "sigma_gauss", 0.5, float)
-    sigma_log = _merged(args, "sigma_log", 1.0, float)
-    num_lines = _merged(args, "num_lines", 50, int)
-    bandwidth = _merged(args, "bandwidth", 0.01, float)
-    weight_power = _merged(args, "weight_power", 2.0, float)
-    resolution = _merged(args, "resolution", 50, int)
-    seed = _merged(args, "seed", 0, int)
-    threads = _threads(args)
-    if sigma_gauss not in SIGMA_GAUSS_CHOICES:
+    threads = o.threads
+    if threads is None:
+        threads = _convert("GLOG_THREADS", os.environ.get("GLOG_THREADS", "1"), int)
+    if threads < 1:
+        raise ParameterError(f"--threads must be >= 1, got {threads}")
+    if o.sigma_gauss not in SIGMA_GAUSS_CHOICES:
         raise ParameterError(
-            f"--sigma-gauss must be one of {SIGMA_GAUSS_CHOICES}, got {sigma_gauss}"
-        )
+            f"--sigma-gauss must be one of {SIGMA_GAUSS_CHOICES}, got {o.sigma_gauss}")
+    out_dir = _out_dir(o)
 
     datasets = {}
     for split in SPLITS:
         try:
-            datasets[split] = load_dataset(dataset_path, split)
+            datasets[split] = load_dataset(o.dataset, split)
         except NotFoundError:
             continue  # split absent from the archive
     if "train" not in datasets:
-        raise ParameterError(f"dataset {dataset_path} has no train split")
+        raise ParameterError(f"dataset {o.dataset} has no train split")
     # degrees and the grade box come from the train split; other splits must match
     n_dims = datasets["train"].volumes[0].n
     for split, ds in datasets.items():
@@ -151,16 +212,16 @@ def cmd_extract(args) -> int:
             )
 
     fields = {
-        split: [compute_glog(v, sigma_gauss, sigma_log) for v in ds.volumes]
+        split: [compute_glog(v, o.sigma_gauss, o.sigma_log) for v in ds.volumes]
         for split, ds in datasets.items()
     }
     cfg = MpiConfig(
         box=vectorize.compute_global_box(fields["train"]),
-        resolution=(resolution, resolution),
-        bandwidth=bandwidth,
-        weight_power=weight_power,
+        resolution=(o.resolution, o.resolution),
+        bandwidth=o.bandwidth,
+        weight_power=o.weight_power,
     )
-    grid = make_line_grid(cfg.box, num_lines)
+    grid = make_line_grid(cfg.box, o.num_lines)
     degrees = tuple(range(n_dims))
 
     timings = []
@@ -195,16 +256,12 @@ def cmd_extract(args) -> int:
     _write_json(
         out_dir / "extract_config.json",
         {
-            "sigma_gauss": sigma_gauss,
-            "sigma_log": sigma_log,
-            "num_lines": num_lines,
-            "bandwidth": bandwidth,
-            "weight_power": weight_power,
-            "resolution": resolution,
+            **{key: vars(o)[key] for key in ("sigma_gauss", "sigma_log", "num_lines",
+                                             "bandwidth", "weight_power", "resolution")},
             "box": list(cfg.box),
             "degrees": list(degrees),
-            "feature_dim": len(degrees) * resolution * resolution,
-            "seed": seed,
+            "feature_dim": len(degrees) * o.resolution * o.resolution,
+            "seed": o.seed,
             "rgb_to_gray": {split: ds.rgb_to_gray for split, ds in datasets.items()},
         },
     )
@@ -223,26 +280,19 @@ def _read_features(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def cmd_train(args) -> int:
-    out_dir = Path(_merged(args, "out", "glog_out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    feat_dir = Path(_merged(args, "features", out_dir))
+def cmd_train(o) -> int:
+    out_dir = _out_dir(o)
+    feat_dir = Path(out_dir if o.features is None else o.features)
     train_x, train_y = _read_features(feat_dir / "features_train.bin")
     val_x, val_y = _read_features(feat_dir / "features_val.bin")
     if train_x.shape[1] != val_x.shape[1]:
         raise FormatError(
             f"feature dims disagree: train {train_x.shape[1]} vs val {val_x.shape[1]}"
         )
-    seed = _merged(args, "seed", 0, int)
     num_classes = int(max(train_y.max(), val_y.max())) + 1
-    cfg = TrainConfig(
-        learning_rate=_merged(args, "learning_rate", 0.001, float),
-        epochs=_merged(args, "epochs", 100, int),
-        batch_size=_merged(args, "batch_size", 32, int),
-        patience=_merged(args, "patience", 20, int),
-        rng_seed=seed,
-    )
-    model = init_model(model_dims_for(train_x.shape[1], num_classes), seed)
+    cfg = TrainConfig(learning_rate=o.learning_rate, epochs=o.epochs, batch_size=o.batch_size,
+                      patience=o.patience, rng_seed=o.seed)
+    model = init_model(model_dims_for(train_x.shape[1], num_classes), o.seed)
     best, history = train(model, train_x, train_y, val_x, val_y, cfg)
     tmp = out_dir / "checkpoint.bin.tmp"
     save_checkpoint(tmp, best)
@@ -261,12 +311,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    out_dir = Path(_merged(args, "out", "glog_out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    feat_dir = Path(_merged(args, "features", out_dir))
-    checkpoint = Path(_merged(args, "checkpoint", out_dir / "checkpoint.bin"))
-    model = load_checkpoint(checkpoint)
+def cmd_eval(o) -> int:
+    out_dir = _out_dir(o)
+    feat_dir = Path(out_dir if o.features is None else o.features)
+    model = load_checkpoint(out_dir / "checkpoint.bin" if o.checkpoint is None else o.checkpoint)
     test_x, test_y = _read_features(feat_dir / "features_test.bin")
     if test_x.shape[1] != model.layer_dims[0]:
         raise FormatError(
@@ -287,31 +335,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_stability(args) -> int:
-    out_dir = Path(_merged(args, "out", "glog_out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = _merged(args, "seed", 0, int)
-    trials = _merged(args, "trials", 10, int)
-    noise_eps = _merged(args, "noise_eps", 0.1, float)
-    dims = _merged(args, "dims", (8, 8), lambda v: tuple(int(d) for d in str(v).split("x")))
-    sigma_log = _merged(args, "sigma_log", 1.0, float)
-    num_lines = _merged(args, "num_lines", 50, int)
-    bound_scale = _merged(args, "debug_bound_scale", 1.0, float)
-    sigma_gauss = _merged(args, "sigma_gauss", None, float)
-    sweep = [sigma_gauss] if sigma_gauss is not None else [0.5, 1.0, 1.5]
-
+def cmd_stability(o) -> int:
+    out_dir = _out_dir(o)
+    sweep = [o.sigma_gauss] if o.sigma_gauss is not None else [0.5, 1.0, 1.5]
     reports = []
     all_passed = True
     for sg in sweep:
         rep = stability_harness.run_stability_suite(
-            n_trials=trials,
-            dims=dims,
-            sigma_gauss=sg,
-            sigma_log=sigma_log,
-            noise_eps=noise_eps,
-            seed=seed,
-            num_lines=num_lines,
-            bound_scale=bound_scale,
+            n_trials=o.trials, dims=o.dims, sigma_gauss=sg, sigma_log=o.sigma_log,
+            noise_eps=o.noise_eps, seed=o.seed, num_lines=o.num_lines,
+            bound_scale=o.debug_bound_scale,
         )
         print(rep.table())
         reports.append(json.loads(rep.to_json()))
@@ -321,17 +354,23 @@ def cmd_stability(args) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_decomposition_demo(args) -> int:
-    out_dir = Path(_merged(args, "out", "glog_out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_decomposition_demo(o) -> int:
+    out_dir = _out_dir(o)
     report = stability_harness.run_decomposition_suite(
-        seed=_merged(args, "seed", 0, int),
-        n_geometries=_merged(args, "geometries", 20, int),
-        num_lines=_merged(args, "num_lines", 30, int),
+        seed=o.seed, n_geometries=o.geometries, num_lines=o.num_lines
     )
     print(report.table())
     _atomic_write(out_dir / "decomposition_report.json", report.to_json() + "\n")
     return 0 if report.passed else 1
+
+
+_COMMANDS = {
+    "extract": (cmd_extract, "dataset -> feature files + timing"),
+    "train": (cmd_train, "feature files -> checkpoint + metrics"),
+    "eval": (cmd_eval, "checkpoint + test features -> AUC/ACC"),
+    "stability": (cmd_stability, "randomized stability certification"),
+    "decomposition-demo": (cmd_decomposition_demo, "direct-sum decomposition certification"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,77 +380,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", help="output directory (default glog_out)")
-        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-
-    p_ext = sub.add_parser("extract", help="dataset -> feature files + timing")
-    common(p_ext)
-    p_ext.add_argument("--dataset", help="NPZ with {split}_images/{split}_labels")
-    p_ext.add_argument("--sigma-gauss", dest="sigma_gauss", type=float,
-                       help="smoothing sigma, one of 0/0.5/1/1.5 (default 0.5)")
-    p_ext.add_argument("--sigma-log", dest="sigma_log", type=float,
-                       help="edge-response sigma (default 1)")
-    p_ext.add_argument("--num-lines", dest="num_lines", type=int,
-                       help="slicing lines (default 50)")
-    p_ext.add_argument("--bandwidth", type=float, help="image kernel width (default 0.01)")
-    p_ext.add_argument("--weight-power", dest="weight_power", type=float,
-                       help="persistence weight exponent (default 2)")
-    p_ext.add_argument("--resolution", type=int, help="image side in pixels (default 50)")
-    p_ext.add_argument("--threads", type=int,
-                       help="worker processes (default $GLOG_THREADS or 1)")
-
-    p_tr = sub.add_parser("train", help="feature files -> checkpoint + metrics")
-    common(p_tr)
-    p_tr.add_argument("--features", help="directory with features_{split}.bin (default --out)")
-    p_tr.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p_tr.add_argument("--epochs", type=int)
-    p_tr.add_argument("--batch-size", dest="batch_size", type=int)
-    p_tr.add_argument("--patience", type=int)
-
-    p_ev = sub.add_parser("eval", help="checkpoint + test features -> AUC/ACC")
-    common(p_ev)
-    p_ev.add_argument("--features", help="directory with features_test.bin (default --out)")
-    p_ev.add_argument("--checkpoint", help="model file (default <out>/checkpoint.bin)")
-
-    p_st = sub.add_parser("stability", help="randomized stability certification")
-    common(p_st)
-    p_st.add_argument("--trials", type=int, help="trials per sigma (default 10)")
-    p_st.add_argument("--noise-eps", dest="noise_eps", type=float,
-                      help="perturbation amplitude (default 0.1)")
-    p_st.add_argument("--dims", help="grid dims, e.g. 8x8 (default)")
-    p_st.add_argument("--sigma-gauss", dest="sigma_gauss", type=float,
-                      help="run a single sigma instead of the 0.5/1/1.5 sweep")
-    p_st.add_argument("--sigma-log", dest="sigma_log", type=float)
-    p_st.add_argument("--num-lines", dest="num_lines", type=int)
-    p_st.add_argument("--debug-bound-scale", dest="debug_bound_scale", type=float,
-                      help="rescale the certified bound (negative-control only)")
-
-    p_dc = sub.add_parser("decomposition-demo",
-                          help="direct-sum decomposition certification")
-    common(p_dc)
-    p_dc.add_argument("--geometries", type=int, help="random geometries (default 20)")
-    p_dc.add_argument("--num-lines", dest="num_lines", type=int)
-
+    for command, (_, about) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for key, (_, default, text) in OPTIONS[command].items():
+            shown = "" if default is None else f" (default {default})"
+            p.add_argument("--" + key.replace("_", "-"), help=text + shown)
     return parser
 
 
-_COMMANDS = {
-    "extract": cmd_extract,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "stability": cmd_stability,
-    "decomposition-demo": cmd_decomposition_demo,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.config_values = _load_config_file(args.config) if args.config else {}
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](_options(args))
     except GlogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -72,10 +72,6 @@ class Barcode:
         birth, death, deg = self.table.T
         return int(np.count_nonzero((deg == degree) & (birth <= t) & (t < death)))
 
-    def to_csv(self) -> str:
-        rows = (f"{int(k)},{b!r},{d!r}" for b, d, k in self.table.tolist())  # repr(INF) is inf
-        return "\n".join(["degree,birth,death", *rows]) + "\n"
-
 
 class _Structure:
     """Grade-independent combinatorics of the full complex for fixed dims."""

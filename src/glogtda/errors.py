@@ -38,9 +38,5 @@ class ParameterError(GlogError, ValueError):
     """A configuration parameter violates its documented constraints."""
 
 
-class PreconditionError(GlogError):
-    """An internal structural precondition (e.g. monotone grades) is violated."""
-
-
 class UndefinedMetricError(GlogError):
     """A metric is mathematically undefined for the given inputs."""

@@ -7,10 +7,10 @@ module to that line. On the extreme lines, where the slice is g1 or g2 - b,
 the vertex ranks repeat and compute_persistence reuses the last pairing.
 clip_bars, the one place bars are clamped, takes each Barcode.table as is and
 clips it to the parameter interval [t_enter, t_exit] where the line crosses
-the box; infinite deaths become t_exit + delta (delta is the line spacing)
-and keep a was_infinite flag so vectorization sees finite mass without losing
-the information. Each line's clipped bars are one read-only (m, 4) float64
-array of rows (birth, death, degree, was_infinite).
+the box; infinite deaths become t_exit + delta (delta is the line spacing),
+so vectorization sees finite mass, and a clipped death lies past t_exit
+exactly when it was infinite. Each line's clipped bars are one read-only
+(m, 3) float64 array of (birth, death, degree) rows, Barcode.table's layout.
 """
 
 from __future__ import annotations
@@ -104,18 +104,17 @@ def clip_bars(bars: np.ndarray, t_enter: float, t_exit: float, delta: float,
 
     Births start at t_enter, finite deaths end by t_exit and infinite deaths
     become exactly t_exit + delta; bars that become empty are dropped, so an
-    essential class born at or past t_exit + delta leaves no row. Returns a
-    read-only (m, 4) float64 array of rows (birth, death, degree,
-    was_infinite) in (degree, birth, death) order. The same map is applied
-    wherever barcodes from different one-parameter computations must stay
-    comparable.
+    essential class born at or past t_exit + delta leaves no row, and a
+    death past t_exit marks a bar that was infinite. Returns a read-only
+    (m, 3) float64 array of (birth, death, degree) rows in (degree, birth,
+    death) order. The same map is applied wherever barcodes from different
+    one-parameter computations must stay comparable.
     """
     table = np.asarray(bars, dtype=np.float64).reshape(-1, 3)
     birth, death, degree = table[(table[:, 2, None] == np.asarray(degrees)).any(axis=1)].T
-    was_inf = np.isinf(death)
     birth = np.maximum(birth, t_enter)
-    death = np.where(was_inf, t_exit + delta, np.minimum(death, t_exit))
-    out = np.column_stack((birth, death, degree, was_inf))[death > birth]
+    death = np.where(np.isinf(death), t_exit + delta, np.minimum(death, t_exit))
+    out = np.column_stack((birth, death, degree))[death > birth]
     out = out[np.lexsort((out[:, 1], out[:, 0], out[:, 2]))]
     out.setflags(write=False)
     return out

@@ -272,7 +272,8 @@ def _supports_separated(g1: np.ndarray, g2: np.ndarray, min_separation=2) -> boo
 def check_decomposition(
     g1: np.ndarray, g2: np.ndarray, num_lines: int
 ) -> tuple[bool | None, int]:
-    """Compare per-line degree>=1 bars of the pair against merged singles.
+    """Compare per-line degree>=1 bars of the pair against merged singles,
+    both as clip_bars rows, clipped infinite deaths included.
 
     Returns (equal-or-None, bars compared); None when the supports are not
     separated, in which case no claim is made.
@@ -282,7 +283,7 @@ def check_decomposition(
     pair = BiGradedField(g1=g1, g2=g2)
     grid = make_line_grid(pair.box, num_lines)
     degrees = tuple(range(1, g1.ndim))
-    fb = compute_fibered_barcode(pair, grid, degrees=tuple(range(g1.ndim)))
+    fb = compute_fibered_barcode(pair, grid, degrees=degrees)
     bc1 = compute_persistence(build_complex(g1))
     bc2 = compute_persistence(build_complex(g2))
     checked = 0
@@ -294,9 +295,8 @@ def check_decomposition(
         t_enter = max(t_enter, min1, min2 - offset)
         shifted = bc2.table - (offset, offset, 0.0)  # bc2's bars on this line
         merged = clip_bars(np.vstack((bc1.table, shifted)), t_enter, t_exit, grid.delta, degrees)
-        actual = fb.barcodes[li][fb.barcodes[li][:, 2] >= 1]
-        checked += len(actual)
-        if not np.array_equal(merged, actual):
+        checked += len(fb.barcodes[li])
+        if not np.array_equal(merged, fb.barcodes[li]):
             return False, checked
     return True, checked
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from glogtda.cubical_persistence import INF, Bar, Barcode, CubicalComplex
-from glogtda.errors import PreconditionError
 
 
 def _check_monotone(c: CubicalComplex) -> None:
@@ -22,7 +21,7 @@ def _check_monotone(c: CubicalComplex) -> None:
     valid = faces >= 0
     face_grades = c.grades[np.where(valid, faces, 0)]
     if not np.all(np.where(valid, face_grades <= c.grades[:, None], True)):
-        raise PreconditionError("cell grades are not monotone under the face relation")
+        raise AssertionError("cell grades are not monotone under the face relation")
 
 
 def _face_rows(st) -> list[tuple[int, ...]]:

@@ -70,7 +70,7 @@ def render_mpi(fb: FiberedBarcode, degree: int, cfg: MpiConfig) -> np.ndarray:
         # barcode was computed against the same box)
         t_enter = max(min1, min2 - offset)
         t_exit = min(max1, max2 - offset)
-        for b_birth, b_death, b_degree, _ in bars.tolist():
+        for b_birth, b_death, b_degree in bars.tolist():
             if b_degree != degree:
                 continue
             birth = max(b_birth, t_enter)

@@ -284,6 +284,74 @@ def test_integer_option_rejects_non_integer_config_values(
     assert not (out / "features_train.bin").exists()
 
 
+@pytest.mark.parametrize("command, key, value", [("extract", "out", 5),
+                                                  ("extract", "dataset", True),
+                                                  ("train", "features", 1.5),
+                                                  ("eval", "checkpoint", ["model.bin"]),
+                                                  ("eval", "features", None)],
+                         ids=["number-out", "boolean-dataset", "number-features", "list-checkpoint",
+                              "null-features"])
+def test_path_config_value_must_be_a_string(
+        tmp_path, toy_dataset, monkeypatch, capsys, command, key, value):
+    # Path(5) would raise TypeError, and open(True) would read file descriptor 1
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    args = [] if key == "out" else ["--out", tmp_path / "o"]
+    if command == "extract" and key != "dataset":
+        args += ["--dataset", toy_dataset]
+    assert run(["--config", cfg, command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{key} got {value!r}") and "Traceback" not in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "glog_out").exists()
+
+
+def test_config_keys_must_belong_to_some_command(tmp_path, toy_dataset, capsys):
+    # one file serves extract and train, but a misspelt key is no option at all
+    cfg = tmp_path / "cfg.json"
+    shared = {"dataset": str(toy_dataset), "num_lines": 10, "resolution": 12, "epochs": 2,
+              "patience": 2, "out": str(tmp_path / "shared")}
+    cfg.write_text(json.dumps(shared))
+    assert main(["--config", str(cfg), "extract"]) == 0
+    assert main(["--config", str(cfg), "train"]) == 0
+    assert json.loads((tmp_path / "shared" / "train_metrics.json").read_text())["epochs_run"] == 2
+    out = tmp_path / "o"
+    cfg.write_text(json.dumps({**shared, "num_line": 20, "out": str(out)}))
+    assert main(["--config", str(cfg), "extract"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file") and "num_line" in err and "num_lines" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["train", "--epochs", "abc"], ["extract", "--num-lines", "1.5"],
+                                  ["stability", "--seed", "x"]],
+                         ids=["word-epochs", "fractional-num-lines", "word-seed"])
+def test_unconvertible_flag_exits_2_naming_it(tmp_path, toy_dataset, capsys, args):
+    # the same path as a config value: no argparse usage error and exit status
+    out = tmp_path / "o"
+    extra = ["--dataset", toy_dataset] if args[0] == "extract" else []
+    assert run([*args, "--out", out, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {args[1]} got '{args[2]}'") and "usage:" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "eval", "stability", "decomposition-demo"])
+def test_help_shows_every_default(capsys, command):
+    from glogtda.cli import OPTIONS
+
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    if command == "extract":
+        assert "--num-lines NUM_LINES slicing lines (default 50)" in shown
+    for key, (_, default, text) in OPTIONS[command].items():
+        flag = "--" + key.replace("_", "-")
+        suffix = "" if default is None else f" (default {default})"
+        assert f"{flag} {key.upper()} {text}{suffix}" in shown
+
+
 @pytest.mark.parametrize("args", [["train", "--learning-rate", "nan"],
                                   ["stability", "--sigma-log", "nan"],
                                   ["stability", "--noise-eps", "inf"]],

@@ -109,7 +109,7 @@ def test_complex_keeps_a_read_only_copy_of_the_field():
         c.field[0, 0] = 1.0
     signed = build_complex(np.array([[-0.0, 0.0], [1.0, -0.0]]))
     assert not np.signbit(signed.field).any()
-    assert compute_persistence(signed).to_csv() == "degree,birth,death\n0,0.0,inf\n"
+    assert compute_persistence(signed).table.tobytes() == np.array([[0.0, INF, 0.0]]).tobytes()
 
 
 # --- persistence fixtures ------------------------------------------------------
@@ -342,7 +342,7 @@ def _count_pairings(monkeypatch):
 def _assert_matches_reference(c):
     bc = compute_persistence(c)
     ref = reference_persistence.compute_persistence(c)
-    assert bc == ref and bc.to_csv() == ref.to_csv()
+    assert bc == ref and bc.table.tobytes() == ref.table.tobytes()
     return bc
 
 
@@ -571,15 +571,11 @@ assert "scipy.sparse.csgraph" in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
-# --- export ---------------------------------------------------------------------
+# --- barcode table ---------------------------------------------------------------
 
 
-def test_barcode_csv():
+def test_barcode_table_rows():
     f = np.zeros((3, 3))
     f[1, 1] = 1.0
     bc = compute_persistence(build_complex(f))
-    csv = bc.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "degree,birth,death"
-    assert "0,0.0,inf" in lines
-    assert "1,0.0,1.0" in lines
+    assert bc.table.tolist() == [[0.0, INF, 0.0], [0.0, 1.0, 1.0]]

@@ -63,10 +63,10 @@ def test_constant_field_single_bar_every_line():
     # past t_exit + delta there, so the clip leaves it no row
     assert [len(bars) for bars in fb.barcodes] == [0, 1, 1, 1, 1, 1, 0]
     for offset, bars in zip(grid.offsets.tolist()[1:-1], fb.barcodes[1:-1]):
-        birth, death, degree, was_infinite = bars[0]
-        assert degree == 0 and was_infinite
-        assert birth == max(c1, c2 - offset)
+        birth, death, degree = bars[0]
         _, t_exit = grid.crossing_interval(offset)
+        assert degree == 0 and death > t_exit  # the clipped essential class
+        assert birth == max(c1, c2 - offset)
         assert death == t_exit + grid.delta
 
 
@@ -97,7 +97,7 @@ def test_fibered_bars_match_sliced_betti_oracle():
                 if not (t_enter <= t < t_exit):
                     continue
                 betti = betti_oracle(c, t)
-                birth, death, degree, _ = fb.barcodes[li].T
+                birth, death, degree = fb.barcodes[li].T
                 for k in range(2):
                     alive = np.count_nonzero((degree == k) & (birth <= t) & (t < death))
                     assert alive == betti[k]
@@ -118,9 +118,9 @@ def test_infinite_bars_clipped_with_flag():
     grid = make_line_grid(f.box, 3)
     fb = compute_fibered_barcode(f, grid)
     mid = len(grid) // 2
-    birth, death, _, was_infinite = fb.barcodes[mid][0]
-    assert was_infinite
+    birth, death, _ = fb.barcodes[mid][0]
     t_enter, t_exit = grid.crossing_interval(grid.offsets[mid])
+    assert death > t_exit  # a death past t_exit flags a bar that was infinite
     assert death == t_exit + grid.delta
 
 
@@ -136,23 +136,24 @@ def test_clip_bars_contract():
         degree = rng.integers(0, 3, n)
         bars = tuple(map(Bar, birth.tolist(), death.tolist(), degree.tolist()))
         out = clip_bars(bars, t_enter, t_exit, delta, (0, 1))
-        assert out.dtype == np.float64 and out.shape[1] == 4
+        assert out.dtype == np.float64 and out.shape[1] == 3
         with pytest.raises(ValueError):
             out[:, 0] = 0.0
-        b, d, k, was_inf = out.T
+        b, d, k = out.T
         assert ((t_enter <= b) & (b < d)).all()
-        assert (d[was_inf == 0] <= t_exit).all()
-        assert (d[was_inf == 1] == t_exit + delta).all()
+        assert ((d <= t_exit) | (d == t_exit + delta)).all()
         assert set(k.tolist()) <= {0.0, 1.0}
         assert np.lexsort((d, b, k)).tolist() == list(range(len(out)))
-        # a bar is dropped exactly when its clipped interval is empty
+        # a bar is dropped exactly when its clipped interval is empty, and its
+        # clipped death lies past t_exit exactly when it was infinite
         clipped = [
             (max(x.birth, t_enter), t_exit + delta if np.isinf(x.death) else min(x.death, t_exit),
              x.degree, np.isinf(x.death))
             for x in bars if x.degree in (0, 1)
         ]
         want = sorted((r for r in clipped if r[1] > r[0]), key=lambda r: (r[2], r[0], r[1]))
-        assert out.tolist() == [[b_, d_, float(k_), float(i_)] for b_, d_, k_, i_ in want]
+        assert out.tolist() == [[b_, d_, float(k_)] for b_, d_, k_, _ in want]
+        assert (d > t_exit).tolist() == [bool(i_) for *_, i_ in want]
 
 
 def test_out_of_box_grades_are_clipped_to_the_grid_box():
@@ -225,8 +226,10 @@ def test_monotone_refinement():
         bc, bf = fb_coarse.barcodes[i], fb_fine.barcodes[j]
         # deltas differ, so compare everything except the infinite bars'
         # deaths, which are t_exit + delta
-        assert np.array_equal(bc[:, [0, 2, 3]], bf[:, [0, 2, 3]])
-        finite = bc[:, 3] == 0
+        _, t_exit = coarse.crossing_interval(off)
+        assert np.array_equal(bc[:, [0, 2]], bf[:, [0, 2]])
+        finite = bc[:, 1] <= t_exit
+        assert np.array_equal(finite, bf[:, 1] <= t_exit)
         assert np.array_equal(bc[finite, 1], bf[finite, 1])
     assert common == len(coarse)
 

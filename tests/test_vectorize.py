@@ -31,9 +31,9 @@ from synthdata import disk_annulus_images
 
 
 def fibered_barcode(grid, rows_per_line, degrees=(0,)):
-    """FiberedBarcode holding the given (birth, death, degree, was_infinite)
-    rows on each line, in clip_bars' array form."""
-    tables = tuple(np.array(rows, dtype=np.float64).reshape(-1, 4) for rows in rows_per_line)
+    """FiberedBarcode holding the given (birth, death, degree) rows on each
+    line, in clip_bars' array form."""
+    tables = tuple(np.array(rows, dtype=np.float64).reshape(-1, 3) for rows in rows_per_line)
     return FiberedBarcode(grid, tables, degrees)
 
 
@@ -41,7 +41,7 @@ def single_bar_barcode(birth, death, offset, box, degree=0, num_lines=5):
     grid = make_line_grid(box, num_lines)
     idx = int(np.argmin(np.abs(grid.offsets - offset)))
     rows = [[]] * len(grid)
-    rows[idx] = [(birth, death, degree, False)]
+    rows[idx] = [(birth, death, degree)]
     return fibered_barcode(grid, rows, (degree,)), grid.offsets[idx]
 
 
@@ -147,9 +147,9 @@ def test_adding_a_bar_is_monotone():
     box = (0.0, 0.0, 1.0, 1.0)
     cfg = MpiConfig(box=box)
     grid = make_line_grid(box, 5)
-    one = fibered_barcode(grid, [[], [(0.1, 0.5, 0, False)], [], [], []])
+    one = fibered_barcode(grid, [[], [(0.1, 0.5, 0)], [], [], []])
     two = fibered_barcode(
-        grid, [[], [(0.1, 0.5, 0, False)], [(0.2, 0.9, 0, False)], [], []]
+        grid, [[], [(0.1, 0.5, 0)], [(0.2, 0.9, 0)], [], []]
     )
     assert (render_mpi(two, 0, cfg) >= render_mpi(one, 0, cfg)).all()
 
@@ -160,7 +160,7 @@ def test_flagged_infinite_bars_render_with_clipped_persistence():
     mid = len(grid) // 2
     rows = [[]] * len(grid)
     t_enter, t_exit = grid.crossing_interval(grid.offsets[mid])
-    rows[mid] = [(t_enter, t_exit + grid.delta, 0, True)]
+    rows[mid] = [(t_enter, t_exit + grid.delta, 0)]
     fb = fibered_barcode(grid, rows)
     img = render_mpi(fb, 0, MpiConfig(box=box, bandwidth=0.05))
     assert img.sum() > 0.0
@@ -183,14 +183,14 @@ def test_image_clamp_shortens_or_drops_stubs_born_past_exit():
 
     born = t_exit + grid.delta / 2
     stub = clip_bars([Bar(born, math.inf, 0)], t_enter, t_exit, grid.delta, (0,))
-    assert stub.tolist() == [[born, t_exit + grid.delta, 0.0, 1.0]]
-    shortened = image([(born, t_exit + grid.delta, 0, True)])
+    assert stub.tolist() == [[born, t_exit + grid.delta, 0.0]]
+    shortened = image([(born, t_exit + grid.delta, 0)])
     assert shortened.sum() > 0.0
     assert np.array_equal(image(stub), shortened)
 
     born = t_exit + grid.delta
     stub = clip_bars([Bar(born, math.inf, 0)], t_enter, t_exit, grid.delta, (0,))
-    assert stub.shape == (0, 4)
+    assert stub.shape == (0, 3)
     assert (image(stub) == 0.0).all()
 
 
