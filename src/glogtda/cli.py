@@ -14,6 +14,7 @@ None is filled in by the command from other values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -160,25 +161,17 @@ def _out_dir(o) -> Path:
     return out_dir
 
 
-_WORK = {}
-
-
-def _extract_one(i: int):
-    fields, grid, cfg, degrees = _WORK["job"]
+def _extract_one(grid, cfg, degrees, field):
     t0 = time.perf_counter()
-    feats = vectorize.build_features([fields[i]], cfg, degrees=degrees, grid=grid)
+    feats = vectorize.build_features([field], cfg, degrees=degrees, grid=grid)
     return feats[0], time.perf_counter() - t0
 
 
-def _pool_init(job):
-    _WORK["job"] = job
-
-
-def _clip_report(boxes, grid, box) -> dict:
-    """Samples whose grade box the grid misses (their bars get clipped), and
-    the farthest any box reaches past box."""
+def _clip_report(boxes, box) -> dict:
+    """Samples whose grade box reaches past box (their bars get clipped), and
+    the farthest any box reaches past it."""
     reach = (np.reshape(boxes, (-1, 4)) - box) * (-1, -1, 1, 1)
-    return {"samples": sum(not grid.covers(b) for b in boxes),
+    return {"samples": int(np.count_nonzero((reach > 0).any(axis=1))),
             "max_excess": float(reach.max(initial=0.0))}
 
 
@@ -224,16 +217,16 @@ def cmd_extract(o) -> int:
     grid = make_line_grid(cfg.box, o.num_lines)
     degrees = tuple(range(n_dims))
 
+    extract_one = functools.partial(_extract_one, grid, cfg, degrees)
     timings = []
     for split, ds in datasets.items():
-        job = (fields[split], grid, cfg, degrees)
-        indices = range(len(fields[split]))
-        if threads > 1:
-            with ProcessPoolExecutor(threads, initializer=_pool_init, initargs=(job,)) as pool:
-                results = list(pool.map(_extract_one, indices))
+        # a pool forks all its workers at once, so never more than there is work or cores for
+        workers = min(threads, len(fields[split]), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(workers) as pool:
+                results = list(pool.map(extract_one, fields[split]))
         else:
-            _pool_init(job)
-            results = [_extract_one(i) for i in indices]
+            results = [extract_one(f) for f in fields[split]]
         feats = [r[0] for r in results]
         timings.extend(r[1] for r in results)
         _atomic_write(
@@ -248,7 +241,7 @@ def cmd_extract(o) -> int:
         "samples": len(timings),
         "mean_seconds": float(np.mean(timings)),
         "p95_seconds": float(np.quantile(timings, 0.95)),
-        "clipped": {split: _clip_report([f.box for f in fs], grid, cfg.box)
+        "clipped": {split: _clip_report([f.box for f in fs], cfg.box)
                     for split, fs in fields.items()},
         "note": "wall clock on this machine; reference timings depend on hardware",
     }

@@ -18,8 +18,9 @@ coboundaries of the few cells left unpaired (de Silva et al., "Dualities in
 persistent (co)homology", 2011), and the union-find pairs degree n-1 on the
 dual graph of top cells plus an exterior node (Garin et al., "Duality in
 persistent homology of images", 2020). All pairs become one (m, 3) table of
-(birth, death, degree) rows, and a call whose vertex ranks repeat the last
-call's exactly (an extreme line of a fibered barcode) reuses its pairing.
+(birth, death, degree) rows. The pairing depends on the vertex ranks alone and
+rides along on the Barcode, so a call handed a previous barcode whose ranks
+equal its own (an extreme line of a fibered barcode) reuses that pairing.
 betti_oracle is a deliberately independent check: plain Gaussian
 elimination ranks of the boundary operators of a sublevel subcomplex.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -47,14 +48,20 @@ class Bar(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class Barcode:
     """Multiset of persistence intervals, canonically sorted: a read-only
-    (m, 3) float64 table of rows (birth, death, degree), or of Bar tuples."""
+    (m, 3) float64 table of rows (birth, death, degree), or of Bar tuples.
+    pairing, when compute_persistence made it, holds the read-only (vertex
+    ranks, birth, death, degree) rank arrays behind the table; equality and
+    repr ignore it."""
 
     table: np.ndarray
+    pairing: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         table = np.array(self.table, dtype=np.float64).reshape(-1, 3)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
+        for ranks in self.pairing or ():
+            ranks.setflags(write=False)
 
     def __eq__(self, other):
         return isinstance(other, Barcode) and np.array_equal(self.table, other.table)
@@ -122,10 +129,6 @@ class _Structure:
                 has = faces[ups, j] >= 0
                 cof[index[faces[ups[has], j]], j] = ups[has]
             self.cofaces[k] = np.sort(cof, axis=1)[:, -2 * (n - k):]
-
-
-# (vertex ranks, birth, death, degree) of the last call; replaced whole, read once per call
-_last_line: tuple[np.ndarray, ...] | None = None
 
 
 @functools.cache
@@ -214,7 +217,7 @@ def _elder_rule(node_keys: np.ndarray, links: np.ndarray, key: np.ndarray, sign:
     return dying, merging
 
 
-def compute_persistence(c: CubicalComplex) -> Barcode:
+def compute_persistence(c: CubicalComplex, previous: Barcode | None = None) -> Barcode:
     """Barcode of the sublevel filtration, degrees 0..n-1, over F2.
 
     Reads the voxel values only: a cell's grade is the max over its vertices,
@@ -230,16 +233,16 @@ def compute_persistence(c: CubicalComplex) -> Barcode:
     exterior node with negated keys. The full complex is contractible, so
     the only infinite bar is the oldest vertex's. One step turns the pairs
     into bars and drops the zero-length ones. The pairing depends on the
-    ranks alone, so a call whose ranks equal the last call's reuses it.
+    ranks alone, so when previous's vertex ranks equal these exactly, shape
+    included, its pairing is reused and the passes do not run.
     """
-    global _last_line
     values, vertex_rank = np.unique(c.field, return_inverse=True)
     vertex_rank = vertex_rank.reshape(c.dims)
-    last = _last_line
-    if last is None or not np.array_equal(last[0], vertex_rank):
-        last = _last_line = (vertex_rank, *_pair_ranks(c.structure, vertex_rank, values.size))
+    pairing = None if previous is None else previous.pairing
+    if pairing is None or not np.array_equal(pairing[0], vertex_rank):
+        pairing = (vertex_rank, *_pair_ranks(c.structure, vertex_rank, values.size))
     grade = np.append(values, INF)  # ranks order like their values; the sentinel is +inf
-    return Barcode(np.column_stack((grade[last[1]], grade[last[2]], last[3])))
+    return Barcode(np.column_stack((grade[pairing[1]], grade[pairing[2]], pairing[3])), pairing)
 
 
 def _pair_ranks(st: _Structure, vertex_rank: np.ndarray, n_values: int) -> tuple:

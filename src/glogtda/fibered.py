@@ -3,29 +3,30 @@ slope-1 lines covering the grade bounding box.
 
 Each line {(t, t + b)} turns the bi-graded field into a scalar field via
 max(g1, g2 - b); its sublevel barcode is the restriction of the two-parameter
-module to that line. On the extreme lines, where the slice is g1 or g2 - b,
-the vertex ranks repeat and compute_persistence reuses the last pairing.
-clip_bars, the one place bars are clamped, takes each Barcode.table as is and
-clips it to the parameter interval [t_enter, t_exit] where the line crosses
-the box; infinite deaths become t_exit + delta (delta is the line spacing),
-so vectorization sees finite mass, and a clipped death lies past t_exit
-exactly when it was infinite. Each line's clipped bars are one read-only
-(m, 3) float64 array of (birth, death, degree) rows, Barcode.table's layout.
+module to that line. line_barcodes computes the lines in order and hands each
+line's barcode to the next line's compute_persistence: on the extreme lines,
+where the slice is g1 or g2 - b, the vertex ranks repeat and the pairing is
+reused. clip_bars, the one place bars are clamped, takes each Barcode.table
+as is and clips it to the parameter interval [t_enter, t_exit] where the line
+crosses the box; infinite deaths become t_exit + delta (delta is the line
+spacing), so vectorization sees finite mass, and a clipped death lies past
+t_exit exactly when it was infinite. Each line's clipped bars are one
+read-only (m, 3) float64 array of (birth, death, degree) rows, Barcode.table's
+layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .bifiltration import BiGradedField, Box, slice_scalar_field
-from .cubical_persistence import build_complex, compute_persistence
+from .cubical_persistence import Barcode, build_complex, compute_persistence
 from .errors import ParameterError
 
 _DEGENERATE_WIDEN = 1e-6
-_COVER_TOL = 1e-9  # a box reaching this far past the grid's still counts as covered
 
 
 def widen_box(box: Box) -> Box:
@@ -60,15 +61,6 @@ class LineGrid:
         """Parameter interval where the line {(t, t+offset)} crosses the box."""
         min1, min2, max1, max2 = self.box
         return max(min1, min2 - offset), min(max1, max2 - offset)
-
-    def covers(self, box: Box) -> bool:
-        min1, min2, max1, max2 = self.box
-        return (
-            min1 <= box[0] + _COVER_TOL
-            and min2 <= box[1] + _COVER_TOL
-            and max1 >= box[2] - _COVER_TOL
-            and max2 >= box[3] - _COVER_TOL
-        )
 
 
 def make_line_grid(box: Box, num_lines: int) -> LineGrid:
@@ -120,6 +112,16 @@ def clip_bars(bars: np.ndarray, t_enter: float, t_exit: float, delta: float,
     return out
 
 
+def line_barcodes(f: BiGradedField, offsets: Iterable[float]) -> Iterator[Barcode]:
+    """Unclipped barcode of the field's slice along each line {(t, t + b)}, in
+    offset order. Each line gets its own complex and compute_persistence call,
+    which is handed the previous line's barcode to reuse a repeated pairing."""
+    barcode = None
+    for offset in offsets:
+        barcode = compute_persistence(build_complex(slice_scalar_field(f, offset)), barcode)
+        yield barcode
+
+
 def compute_fibered_barcode(
     f: BiGradedField,
     grid: LineGrid,
@@ -130,12 +132,9 @@ def compute_fibered_barcode(
     Bars are clipped to the grid's box, which need not cover the field's
     grades: a dataset-global grid is applied to unseen samples as is.
     """
-    n = len(f.dims)
     if degrees is None:
-        degrees = tuple(range(n))
-    barcodes = []
-    for offset in grid.offsets.tolist():
-        barcode = compute_persistence(build_complex(slice_scalar_field(f, offset)))
-        t_enter, t_exit = grid.crossing_interval(offset)
-        barcodes.append(clip_bars(barcode.table, t_enter, t_exit, grid.delta, degrees))
-    return FiberedBarcode(grid, tuple(barcodes), tuple(sorted(degrees)))
+        degrees = tuple(range(len(f.dims)))
+    offsets = grid.offsets.tolist()
+    barcodes = tuple(clip_bars(barcode.table, *grid.crossing_interval(offset), grid.delta, degrees)
+                     for offset, barcode in zip(offsets, line_barcodes(f, offsets)))
+    return FiberedBarcode(grid, barcodes, tuple(sorted(degrees)))

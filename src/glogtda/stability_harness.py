@@ -22,10 +22,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bifiltration import BiGradedField, compute_glog, slice_scalar_field, sup_distance, union_box
+from .bifiltration import BiGradedField, compute_glog, sup_distance, union_box
 from .cubical_persistence import bottleneck, build_complex, compute_persistence
 from .errors import ParameterError, ShapeError
-from .fibered import clip_bars, compute_fibered_barcode, make_line_grid
+from .fibered import clip_bars, compute_fibered_barcode, line_barcodes, make_line_grid
 from .kernels import continuum_lipschitz_bound, gaussian_kernel, lipschitz_constant, log_kernel
 from .volume_io import Volume
 
@@ -163,11 +163,7 @@ def run_stability_suite(
         max_bn = {k: 0.0 for k in range(n)}
         lines_ok = True
         offsets = grid.offsets.tolist()
-        # every line of f1 before any of f2, so the extreme lines, whose
-        # ranks repeat, reuse compute_persistence's last pairing
-        bcs1, bcs2 = ([compute_persistence(build_complex(slice_scalar_field(f, b))) for b in offsets]
-                      for f in (f1, f2))
-        for bc1, bc2 in zip(bcs1, bcs2):
+        for bc1, bc2 in zip(line_barcodes(f1, offsets), line_barcodes(f2, offsets)):
             for degree in range(n):
                 d = bottleneck(bc1.at_degree(degree), bc2.at_degree(degree))
                 max_bn[degree] = max(max_bn[degree], d)

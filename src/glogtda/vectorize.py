@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bifiltration import BiGradedField, Box, union_box
-from .errors import FormatError, LengthError, ParameterError
+from .errors import FormatError, LengthError, ParameterError, ShapeError
 from .fibered import (
     FiberedBarcode,
     LineGrid,
@@ -170,10 +170,14 @@ def build_features(
 
     All fields share the line grid, which must be built over the config's
     global box, so features are comparable across samples; grades outside the
-    box are clipped to it.
+    box are clipped to it. Fields with different numbers of axes are refused,
+    since they would not share one set of degrees.
     """
     if tuple(grid.box) != tuple(cfg.box):
         raise ParameterError(f"line grid box {grid.box} is not the config box {cfg.box}")
+    axes = {len(f.dims) for f in fields}
+    if len(axes) > 1:
+        raise ShapeError(f"fields mix grids of {sorted(axes)} axes")
     out = []
     for f in fields:
         if degrees is None:

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from glogtda import cli
 from glogtda.cli import main
 from glogtda.vectorize import read_feature_bin
 
@@ -82,6 +83,39 @@ def test_extract_parallel_matches_serial(tmp_path, toy_dataset):
     assert (serial / "features_train.bin").read_bytes() == (
         parallel / "features_train.bin"
     ).read_bytes()
+
+
+def test_extract_pool_never_outgrows_the_work_or_the_cores(tmp_path, toy_dataset, monkeypatch):
+    # a pool forks all its workers at the first task; this one maps serially
+    # and starts no process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    out = tmp_path / "wide"
+    assert run(extract_args(toy_dataset, out, ("--threads", "100000"))) == 0
+    assert sizes == [8, 6, 6]  # the 18/6/6 splits, at most 8 cores
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert run(extract_args(toy_dataset, tmp_path / "one", ("--threads", "100000"))) == 0
+    assert sizes == [8, 6, 6]  # one core: no pool at all
+    serial = tmp_path / "serial"
+    assert run(extract_args(toy_dataset, serial, ("--threads", "1"))) == 0
+    for split in ("train", "val", "test"):
+        assert (out / f"features_{split}.bin").read_bytes() == (
+            serial / f"features_{split}.bin").read_bytes()
 
 
 def test_train_metrics_time_every_epoch(tmp_path):

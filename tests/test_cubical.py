@@ -25,7 +25,7 @@ from glogtda.cubical_persistence import (
     compute_persistence,
 )
 from glogtda.errors import DomainError, ShapeError
-from glogtda.fibered import make_line_grid
+from glogtda.fibered import line_barcodes, make_line_grid
 from glogtda.volume_io import Volume, normalize
 import reference_persistence
 import synthdata
@@ -327,7 +327,8 @@ def test_engine_matches_bitset_reference_on_smoothed_volume_slices(case):
 
 
 def _count_pairings(monkeypatch):
-    # compute_persistence runs its passes only on a call the slot cannot serve
+    # compute_persistence runs its passes only on a call that cannot reuse the
+    # pairing of the previous barcode it was handed
     runs = []
     pair_ranks = cubical_persistence._pair_ranks
 
@@ -339,8 +340,8 @@ def _count_pairings(monkeypatch):
     return runs
 
 
-def _assert_matches_reference(c):
-    bc = compute_persistence(c)
+def _assert_matches_reference(c, previous=None):
+    bc = compute_persistence(c, previous)
     ref = reference_persistence.compute_persistence(c)
     assert bc == ref and bc.table.tobytes() == ref.table.tobytes()
     return bc
@@ -349,30 +350,35 @@ def _assert_matches_reference(c):
 def test_repeated_ranks_reuse_the_pairing_exactly(monkeypatch):
     runs = _count_pairings(monkeypatch)
     rng = np.random.default_rng(21)
+    previous = None
     for f in (rng.integers(0, 4, (6, 7)).astype(float), rng.random((5, 4, 3))):
         # an increasing affine map keeps every rank and every tie
         for g in (f, 2.5 * f - 1.25, 1e-3 * f + 7.0):
-            _assert_matches_reference(build_complex(g))
+            previous = _assert_matches_reference(build_complex(g), previous)
     assert runs == [(6, 7), (5, 4, 3)]
 
 
 def test_a_merged_tie_is_not_served_from_the_slot(monkeypatch):
+    # the slot is the previous barcode's pairing
     runs = _count_pairings(monkeypatch)
     f = np.random.default_rng(22).permutation(30).reshape(5, 6).astype(float)
     g = f.copy()
     g[g == 17] = 16  # two values now tie, and every rank above drops by one
+    previous = None
     for field in (f, g, f):
-        _assert_matches_reference(build_complex(field))
+        previous = _assert_matches_reference(build_complex(field), previous)
     assert len(runs) == 3
 
 
 def test_the_slot_never_serves_another_shape(monkeypatch):
-    # the same flat ranks on grids of other shapes or dimensions
+    # the same flat ranks on grids of other shapes or dimensions, each call
+    # handed the barcode of the grid before
     runs = _count_pairings(monkeypatch)
     flat = np.random.default_rng(23).permutation(16).astype(float)
     shapes = [(4, 4), (2, 2, 4), (4, 4), (2, 8), (4, 2, 2), (4, 4)]
+    previous = None
     for shape in shapes:
-        _assert_matches_reference(build_complex(flat.reshape(shape)))
+        previous = _assert_matches_reference(build_complex(flat.reshape(shape)), previous)
     assert runs == shapes
 
 
@@ -385,14 +391,34 @@ def test_every_grid_line_matches_the_reference_with_and_without_the_slot(case, m
         rng = np.random.default_rng(4)
         field = compute_glog(normalize(Volume(rng.integers(0, 256, (7, 7, 7)))), 1.0, 1.0)
     grid = make_line_grid(field.box, 50)
-    complexes = [build_complex(slice_scalar_field(field, off)) for off in grid.offsets.tolist()]
+    offsets = grid.offsets.tolist()
+    complexes = [build_complex(slice_scalar_field(field, off)) for off in offsets]
     runs = _count_pairings(monkeypatch)
-    served = [_assert_matches_reference(c) for c in complexes]
+    # line_barcodes hands each line the barcode of the line before
+    served = list(line_barcodes(field, offsets))
     # the extreme lines, where the slice is g1 or g2 shifted, repeat ranks
     assert 0 < len(grid) - len(runs) < len(grid)
     for c, bc in zip(complexes, served):
-        cubical_persistence._last_line = None
-        assert _assert_matches_reference(c) == bc
+        assert bc.table.tobytes() == _assert_matches_reference(c).table.tobytes()
+
+
+def test_without_previous_every_call_runs_the_passes(monkeypatch):
+    runs = _count_pairings(monkeypatch)
+    c = build_complex(np.random.default_rng(25).integers(0, 5, (6, 5)).astype(float))
+    first = compute_persistence(c)
+    assert compute_persistence(c) == first and len(runs) == 2
+    # a barcode built from a table carries no pairing to reuse
+    assert compute_persistence(c, Barcode(first.table)) == first and len(runs) == 3
+    assert compute_persistence(c, first) == first and len(runs) == 3
+
+
+def test_the_pairing_rides_along_read_only_and_outside_equality_and_repr():
+    bc = compute_persistence(build_complex(np.random.default_rng(26).random((4, 5, 3))))
+    ranks, birth, death, degree = bc.pairing
+    assert ranks.shape == (4, 5, 3) and len(birth) == len(death) == len(degree) == len(bc.table)
+    assert not any(a.flags.writeable for a in bc.pairing)
+    bare = Barcode(bc.table)
+    assert bare.pairing is None and bc == bare and repr(bc) == repr(bare)
 
 
 def test_barcode_table_is_read_only_and_sorted():

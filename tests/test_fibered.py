@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glogtda import fibered
+from glogtda import cubical_persistence, fibered
 from glogtda.bifiltration import BiGradedField, slice_scalar_field, sup_distance, union_box
 from glogtda.cubical_persistence import (
     Bar,
@@ -46,12 +46,6 @@ def test_line_grid_validation_and_degenerate():
     grid = make_line_grid((0.5, 0.5, 0.5, 0.5), 5)  # point box widened
     assert grid.box[2] > grid.box[0] and grid.box[3] > grid.box[1]
     assert len(grid) == 5
-
-
-def test_grid_covers():
-    grid = make_line_grid((0.0, 0.0, 1.0, 1.0), 3)
-    assert grid.covers((0.1, 0.1, 0.9, 0.9))
-    assert not grid.covers((-0.5, 0.0, 1.0, 1.0))
 
 
 def test_constant_field_single_bar_every_line():
@@ -162,7 +156,8 @@ def test_out_of_box_grades_are_clipped_to_the_grid_box():
     rng = np.random.default_rng(7)
     f = BiGradedField(g1=rng.uniform(-0.5, 1.5, (6, 6)), g2=rng.uniform(-0.5, 1.5, (6, 6)))
     small = make_line_grid((0.0, 0.0, 1.0, 1.0), 5)
-    assert not small.covers(f.box)
+    (lo1, lo2, hi1, hi2), box = small.box, f.box
+    assert box[0] < lo1 and box[1] < lo2 and box[2] > hi1 and box[3] > hi2
     fb = compute_fibered_barcode(f, small)
     assert sum(len(bars) for bars in fb.barcodes) > 0
     for offset, bars in zip(small.offsets.tolist(), fb.barcodes):
@@ -255,8 +250,31 @@ def test_one_complex_and_one_persistence_call_per_line(monkeypatch):
     fb = compute_fibered_barcode(f, grid)
     names = [name for name, _, _ in calls]
     assert names == ["build_complex", "compute_persistence", "clip_bars"] * len(grid)
+    previous = None
     for i in range(len(grid)):
-        (_, _, complex_), (_, (arg,), barcode), (_, clip_args, clipped) = calls[3 * i: 3 * i + 3]
-        assert arg is complex_
+        (_, _, complex_), (_, args, barcode), (_, clip_args, clipped) = calls[3 * i: 3 * i + 3]
+        # each call is handed the barcode returned for the line before
+        assert args[0] is complex_ and args[1] is previous
         assert clip_args[0] is barcode.table
         assert fb.barcodes[i] is clipped
+        previous = barcode
+
+
+def test_a_fibered_barcode_does_not_depend_on_the_one_before(monkeypatch):
+    # B's last line, whose slice is B.g1, repeats the ranks of A's first line,
+    # whose slice is A.g2 shifted; A's second run must still pair that line
+    runs = []
+    pair_ranks = cubical_persistence._pair_ranks
+    monkeypatch.setattr(cubical_persistence, "_pair_ranks",
+                        lambda *args: runs.append(1) or pair_ranks(*args))
+    rng = np.random.default_rng(12)
+    a = BiGradedField(g1=rng.random((5, 6)), g2=rng.random((5, 6)))
+    b = BiGradedField(g1=2.0 * a.g2, g2=rng.random((5, 6)))
+    tables, counts = [], []
+    for f in (a, b, a):
+        before = len(runs)
+        tables.append(compute_fibered_barcode(f, make_line_grid(f.box, 30)).barcodes)
+        counts.append(len(runs) - before)
+    assert len(tables[0]) == len(tables[2]) == 30
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(tables[0], tables[2]))
+    assert counts[0] == counts[2] < 30

@@ -4,6 +4,7 @@ A program change that breaks a name, signature or output the benchmark
 relies on fails here rather than only when the benchmark is run.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -16,3 +17,17 @@ def test_perfbench_smoke_passes():
         [sys.executable, "perfbench/smoke.py"], cwd=ROOT, capture_output=True, text=True, timeout=600
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-4000:]
+
+
+def test_traced_bench_run_matches_the_recorded_references():
+    # a traced run checks the exact raw bar counts of every sample, per
+    # compute_persistence call, against perfbench/reference/; the smoke
+    # workloads above have no recorded references
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "2d-disk-28", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-4000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout[-4000:]

@@ -7,7 +7,7 @@ import pytest
 from glogtda import vectorize
 from glogtda.bifiltration import BiGradedField, compute_glog
 from glogtda.cubical_persistence import Bar
-from glogtda.errors import FormatError, LengthError, ParameterError
+from glogtda.errors import FormatError, LengthError, ParameterError, ShapeError
 from glogtda.fibered import (
     FiberedBarcode,
     clip_bars,
@@ -285,6 +285,19 @@ def test_feature_dimensions_2d_and_3d():
     cfg3 = MpiConfig(box=compute_global_box(fields3))
     feats3 = build_features(fields3, cfg3, grid=make_line_grid(cfg3.box, 6))
     assert all(len(f) == 7500 for f in feats3)
+
+
+def test_fields_with_different_numbers_of_axes_are_rejected():
+    # the first field would fix the degrees for both: a 3D field losing H2,
+    # or a 2D one gaining an all-zero H2 block, depending on the order
+    rng = np.random.default_rng(5)
+    flat = BiGradedField(g1=rng.random((6, 6)), g2=rng.random((6, 6)))
+    cube = BiGradedField(g1=rng.random((5, 5, 5)), g2=rng.random((5, 5, 5)))
+    cfg = MpiConfig(box=compute_global_box([flat, cube]), resolution=(4, 4))
+    grid = make_line_grid(cfg.box, 4)
+    for fields in ([flat, cube], [cube, flat]):
+        with pytest.raises(ShapeError, match="axes"):
+            build_features(fields, cfg, grid=grid)
 
 
 def test_features_nonnegative_finite_and_deterministic():
