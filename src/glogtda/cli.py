@@ -161,9 +161,9 @@ def _out_dir(o) -> Path:
     return out_dir
 
 
-def _extract_one(grid, cfg, degrees, field):
+def _extract_one(grid, cfg, field):
     t0 = time.perf_counter()
-    feats = vectorize.build_features([field], cfg, degrees=degrees, grid=grid)
+    feats = vectorize.build_features([field], cfg, grid=grid)
     return feats[0], time.perf_counter() - t0
 
 
@@ -215,9 +215,9 @@ def cmd_extract(o) -> int:
         weight_power=o.weight_power,
     )
     grid = make_line_grid(cfg.box, o.num_lines)
-    degrees = tuple(range(n_dims))
+    degrees = tuple(range(n_dims))  # build_features' default, recorded below
 
-    extract_one = functools.partial(_extract_one, grid, cfg, degrees)
+    extract_one = functools.partial(_extract_one, grid, cfg)
     timings = []
     for split, ds in datasets.items():
         # a pool forks all its workers at once, so never more than there is work or cores for

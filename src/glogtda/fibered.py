@@ -7,18 +7,18 @@ module to that line. line_barcodes computes the lines in order and hands each
 line's barcode to the next line's compute_persistence: on the extreme lines,
 where the slice is g1 or g2 - b, the vertex ranks repeat and the pairing is
 reused. clip_bars, the one place bars are clamped, takes each Barcode.table
-as is and clips it to the parameter interval [t_enter, t_exit] where the line
-crosses the box; infinite deaths become t_exit + delta (delta is the line
-spacing), so vectorization sees finite mass, and a clipped death lies past
-t_exit exactly when it was infinite. Each line's clipped bars are one
-read-only (m, 3) float64 array of (birth, death, degree) rows, Barcode.table's
-layout.
+as is and clips every row to the parameter interval [t_enter, t_exit] where
+the line crosses the box; infinite deaths become t_exit + delta (delta is the
+line spacing), so vectorization sees finite mass, and a clipped death lies
+past t_exit exactly when it was infinite. A line's clipped bars are one
+read-only (m, 3) float64 array of (birth, death, degree) rows of every degree,
+in Barcode.table's layout; vectorize.build_features chooses which to draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -83,16 +83,14 @@ class FiberedBarcode:
 
     grid: LineGrid
     barcodes: tuple[np.ndarray, ...]
-    degrees_present: tuple[int, ...]
 
     def bars_at(self, line_index: int, degree: int) -> np.ndarray:
         table = self.barcodes[line_index]
         return table[table[:, 2] == degree]
 
 
-def clip_bars(bars: np.ndarray, t_enter: float, t_exit: float, delta: float,
-              degrees: Sequence[int]) -> np.ndarray:
-    """Clip the (birth, death, degree) rows of the given degrees to [t_enter, t_exit].
+def clip_bars(bars: np.ndarray, t_enter: float, t_exit: float, delta: float) -> np.ndarray:
+    """Clip every (birth, death, degree) row to [t_enter, t_exit].
 
     Births start at t_enter, finite deaths end by t_exit and infinite deaths
     become exactly t_exit + delta; bars that become empty are dropped, so an
@@ -103,7 +101,7 @@ def clip_bars(bars: np.ndarray, t_enter: float, t_exit: float, delta: float,
     one-parameter computations must stay comparable.
     """
     table = np.asarray(bars, dtype=np.float64).reshape(-1, 3)
-    birth, death, degree = table[(table[:, 2, None] == np.asarray(degrees)).any(axis=1)].T
+    birth, death, degree = table.T
     birth = np.maximum(birth, t_enter)
     death = np.where(np.isinf(death), t_exit + delta, np.minimum(death, t_exit))
     out = np.column_stack((birth, death, degree))[death > birth]
@@ -122,19 +120,14 @@ def line_barcodes(f: BiGradedField, offsets: Iterable[float]) -> Iterator[Barcod
         yield barcode
 
 
-def compute_fibered_barcode(
-    f: BiGradedField,
-    grid: LineGrid,
-    degrees: Sequence[int] | None = None,
-) -> FiberedBarcode:
-    """Slice the field along every grid line and collect clipped barcodes.
+def compute_fibered_barcode(f: BiGradedField, grid: LineGrid) -> FiberedBarcode:
+    """Slice the field along every grid line and collect clipped barcodes of
+    every degree.
 
     Bars are clipped to the grid's box, which need not cover the field's
     grades: a dataset-global grid is applied to unseen samples as is.
     """
-    if degrees is None:
-        degrees = tuple(range(len(f.dims)))
     offsets = grid.offsets.tolist()
-    barcodes = tuple(clip_bars(barcode.table, *grid.crossing_interval(offset), grid.delta, degrees)
+    barcodes = tuple(clip_bars(barcode.table, *grid.crossing_interval(offset), grid.delta)
                      for offset, barcode in zip(offsets, line_barcodes(f, offsets)))
-    return FiberedBarcode(grid, barcodes, tuple(sorted(degrees)))
+    return FiberedBarcode(grid, barcodes)

@@ -111,12 +111,9 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
 def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over the batch and gradients for every parameter."""
     acts = [np.asarray(x, dtype=np.float64)]
-    pre = []
     a = acts[0]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = a @ w.T + b
-        pre.append(z)
-        a = np.maximum(z, 0.0)
+        a = np.maximum(a @ w.T + b, 0.0)
         acts.append(a)
     logits = a @ model.weights[-1].T + model.biases[-1]
     probs = _softmax(logits)
@@ -131,7 +128,8 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
         grads_w.append(delta.T @ acts[layer])
         grads_b.append(delta.sum(axis=0))
         if layer > 0:
-            delta = (delta @ model.weights[layer]) * (pre[layer - 1] > 0.0)
+            # a ReLU output is positive exactly where its input was
+            delta = (delta @ model.weights[layer]) * (acts[layer] > 0.0)
     return loss, tuple(reversed(grads_w)), tuple(reversed(grads_b))
 
 

@@ -12,8 +12,8 @@ line-parameter units and delta/diag normalizes for line density. One image per
 homology degree, drawn by coverage one line at a time from that line's
 (birth, death) rows and its offset b alone: where a pixel lies inside bars'
 spans along the line their weights come from prefix sums, and only bars ending
-near it take an exp each. Images are concatenated in ascending degree order,
-pixels row-major.
+near it take an exp each. build_features alone picks the degrees drawn, and
+concatenates their images in ascending degree order, pixels row-major.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .fibered import (
     compute_fibered_barcode,
     widen_box,
 )
+from .volume_io import is_label
 
 MAGIC_FEATURES = b"GLF1"
 
@@ -140,10 +141,9 @@ def render_mpi(fb: FiberedBarcode, degree: int, cfg: MpiConfig) -> np.ndarray:
     """Persistence image of one homology degree; one render_segments call per line.
 
     Bars are drawn as clip_bars left them, clipped to where their line
-    crosses the grid's box; build_features makes that box the config's.
+    crosses the grid's box; build_features makes that box the config's. A
+    degree with no rows draws an all-zero image.
     """
-    if degree not in fb.degrees_present:
-        raise ParameterError(f"degree {degree} absent from barcode {fb.degrees_present}")
     density = fb.grid.delta / float(np.hypot(cfg.box[2] - cfg.box[0], cfg.box[3] - cfg.box[1]))
     img = np.zeros(cfg.resolution, dtype=np.float64)
     for i, offset in enumerate(fb.grid.offsets.tolist()):
@@ -168,22 +168,27 @@ def build_features(
 ) -> list[FeatureVector]:
     """Fibered barcode -> per-degree images -> concatenated vector, per field.
 
-    All fields share the line grid, which must be built over the config's
-    global box, so features are comparable across samples; grades outside the
-    box are clipped to it. Fields with different numbers of axes are refused,
-    since they would not share one set of degrees.
+    Degrees are 0..n-1 for fields of n axes, or given: distinct, at least one,
+    each in 0..n-1. All fields share the line grid, built over the config's
+    global box, so features are comparable across samples; grades outside
+    the box are clipped to it. Fields with different numbers of axes, which
+    would not share one set of degrees, are refused.
     """
     if tuple(grid.box) != tuple(cfg.box):
         raise ParameterError(f"line grid box {grid.box} is not the config box {cfg.box}")
     axes = {len(f.dims) for f in fields}
     if len(axes) > 1:
         raise ShapeError(f"fields mix grids of {sorted(axes)} axes")
+    if not fields:
+        return []
+    n = axes.pop()
+    degrees = sorted(range(n) if degrees is None else degrees)
+    if not degrees or degrees != sorted(set(degrees) & set(range(n))):
+        raise ParameterError(f"degrees must be one or more distinct values in 0..{n - 1}, got {degrees}")
     out = []
     for f in fields:
-        if degrees is None:
-            degrees = tuple(range(len(f.dims)))
-        fb = compute_fibered_barcode(f, grid, degrees)
-        blocks = [render_mpi(fb, d, cfg).ravel() for d in sorted(degrees)]
+        fb = compute_fibered_barcode(f, grid)
+        blocks = [render_mpi(fb, d, cfg).ravel() for d in degrees]
         out.append(FeatureVector(np.concatenate(blocks)))
     return out
 
@@ -191,13 +196,28 @@ def build_features(
 # --- feature persistence (CSV and binary) -----------------------------------
 
 
-def features_to_csv(features: list[FeatureVector], labels) -> str:
-    """One row per sample: label first, then the feature values."""
+def _feature_table(features: list[FeatureVector], labels) -> np.ndarray:
+    """The (N, 1+D) rows both writers store, label first; ParameterError
+    unless read_feature_bin would accept them back."""
     labels = np.asarray(labels).reshape(-1)
-    if len(labels) != len(features):
-        raise ParameterError("labels and features must have equal length")
-    rows = [",".join([str(int(lab)), *map(repr, fv.values.tolist())])
-            for lab, fv in zip(labels, features)]
+    if len(labels) != len(features) or not is_label(labels).all():
+        raise ParameterError("need one label per feature vector, each an integer in [0, 2**63)")
+    if len({len(fv) for fv in features}) > 1:
+        raise ParameterError("ragged feature lengths")
+    table = np.empty((len(features), 1 + (len(features[0]) if features else 0)), dtype="<f8")
+    table[:, 0] = labels
+    for row, fv in zip(table[:, 1:], features):
+        row[:] = fv.values
+    if not np.isfinite(table[:, 1:]).all():
+        raise ParameterError("feature values must be finite")
+    return table
+
+
+def features_to_csv(features: list[FeatureVector], labels) -> str:
+    """One row per sample: label first (exact integer text), then the values."""
+    table = _feature_table(features, labels)
+    rows = [",".join([str(int(lab)), *map(repr, row.tolist())])
+            for lab, row in zip(np.asarray(labels).reshape(-1).tolist(), table[:, 1:])]
     return "\n".join(rows) + "\n"
 
 
@@ -207,20 +227,11 @@ def write_feature_bin(path, features: list[FeatureVector], labels) -> None:
     Rows mirror the CSV layout (label first, then features) so the file is
     self-contained for reload.
     """
-    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if len(labels) != len(features):
-        raise ParameterError("labels and features must have equal length")
-    dim = 1 + (len(features[0]) if features else 0)
-    matrix = np.empty((len(features), dim), dtype="<f8")
-    matrix[:, 0] = labels
-    for i, fv in enumerate(features):
-        if 1 + len(fv) != dim:
-            raise ParameterError("ragged feature lengths")
-        matrix[i, 1:] = fv.values
+    table = _feature_table(features, labels)
     with open(path, "wb") as fh:
         fh.write(MAGIC_FEATURES)
-        fh.write(struct.pack("<II", len(features), dim))
-        fh.write(matrix.tobytes(order="C"))
+        fh.write(struct.pack("<II", *table.shape))
+        fh.write(table.tobytes(order="C"))
 
 
 def read_feature_bin(path) -> tuple[np.ndarray, np.ndarray]:
@@ -239,6 +250,8 @@ def read_feature_bin(path) -> tuple[np.ndarray, np.ndarray]:
         raise LengthError(f"feature file is {len(data)} bytes, expected {expected}")
     matrix = np.frombuffer(data, dtype="<f8", offset=12).reshape(count, dim)
     labels = matrix[:, 0]
-    if not np.all((labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))):
+    if not is_label(labels).all():
         raise FormatError("feature labels must be integers in [0, 2**63)")
+    if not np.isfinite(matrix[:, 1:]).all():
+        raise FormatError("feature values must be finite")
     return matrix[:, 1:].copy(), labels.astype(np.int64)

@@ -175,13 +175,23 @@ def normalize(v: Volume) -> Volume:
     return Volume(v.data / 255.0)
 
 
-def _squeeze_labels(labels: np.ndarray) -> np.ndarray:
+def is_label(values) -> np.ndarray:
+    """Elementwise: is the value an integer in [0, 2**63)? The one label rule
+    of dataset archives and feature files; NaN and infinities fail."""
+    values = np.asarray(values)
+    return (values >= 0) & (values < 2**63) & (values == np.floor(values))
+
+
+def _squeeze_labels(labels: np.ndarray, entry: str) -> np.ndarray:
     # MedMNIST-style label arrays are (N, 1); drop trailing singleton axes
     arr = np.asarray(labels)
     while arr.ndim > 1 and arr.shape[-1] == 1:
         arr = arr[..., 0]
     if arr.ndim != 1:
         raise ShapeError(f"labels must squeeze to 1D, got shape {labels.shape}")
+    bad = np.flatnonzero(~is_label(arr))
+    if len(bad):
+        raise FormatError(f"{entry}[{bad[0]}] is {arr[bad[0]]!r}, not an integer in [0, 2**63)")
     return arr.astype(np.int64)
 
 
@@ -195,7 +205,8 @@ def load_dataset(path, split: str) -> Dataset:
     with open(path, "rb") as fh:
         data = fh.read()
     images = read_npz(data, f"{split}_images")
-    labels = _squeeze_labels(read_npz(data, f"{split}_labels"))
+    entry = f"{split}_labels"
+    labels = _squeeze_labels(read_npz(data, entry), entry)
     # (N, H, W, 3) color stack; 3D volume stacks are (N, D, H, W) with W != 3
     rgb_to_gray = images.ndim == 4 and images.shape[-1] == 3
     if rgb_to_gray:

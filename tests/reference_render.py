@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from glogtda.errors import ParameterError
 from glogtda.fibered import FiberedBarcode
 from glogtda.vectorize import MpiConfig
 
@@ -58,8 +57,6 @@ def render_segments(
 
 def render_mpi(fb: FiberedBarcode, degree: int, cfg: MpiConfig) -> np.ndarray:
     """Persistence image of one homology degree of a fibered barcode."""
-    if degree not in fb.degrees_present:
-        raise ParameterError(f"degree {degree} absent from barcode {fb.degrees_present}")
     min1, min2, max1, max2 = cfg.box
     span1, span2 = max1 - min1, max2 - min2
     diag = float(np.hypot(span1, span2))

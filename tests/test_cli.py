@@ -9,6 +9,7 @@ from glogtda.cli import main
 from glogtda.vectorize import read_feature_bin
 
 from synthdata import disk_annulus_images, write_split_npz
+from test_vectorize import write_glf1
 from test_volume_io import member_payload_offset
 
 
@@ -427,16 +428,36 @@ def test_unconvertible_threads_env_names_the_variable(tmp_path, toy_dataset, mon
 
 @pytest.mark.parametrize("label", [-1.0, 0.5], ids=["negative", "fractional"])
 def test_train_rejects_labels_that_are_not_class_indices(tmp_path, capsys, label):
-    from glogtda.vectorize import FeatureVector, write_feature_bin
-
+    # written by hand: write_feature_bin refuses such labels itself
     out = tmp_path / "labels"
     out.mkdir()
-    feats = [FeatureVector(row) for row in np.random.default_rng(5).random((4, 3))]
-    write_feature_bin(out / "features_train.bin", feats, [0, 1, 0, label])
-    write_feature_bin(out / "features_val.bin", feats, [0, 1, 0, 1])
+    rows = np.column_stack(([0, 1, 0, 1], np.random.default_rng(5).random((4, 3))))
+    write_glf1(out / "features_val.bin", rows)
+    rows[3, 0] = label
+    write_glf1(out / "features_train.bin", rows)
     assert run(["train", "--out", out, "--epochs", "2", "--patience", "2"]) == 2
     assert "label" in capsys.readouterr().err
     assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_finite_feature_value_is_format_error(tmp_path, capsys, command):
+    from glogtda.learn import init_model, model_dims_for, save_checkpoint
+
+    out = tmp_path / "inf"
+    out.mkdir()
+    rows = np.column_stack(([0, 1, 0, 1], np.random.default_rng(8).random((4, 3))))
+    write_glf1(out / "features_val.bin", rows)
+    if command == "eval":
+        save_checkpoint(out / "checkpoint.bin", init_model(model_dims_for(3, 2), 0))
+    rows[2, 1] = np.inf
+    write_glf1(out / ("features_train.bin" if command == "train" else "features_test.bin"), rows)
+    short = ["--epochs", "2", "--patience", "2"] if command == "train" else []
+    assert run([command, "--out", out, *short]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert not list(out.glob("*.json"))
+    assert (out / "checkpoint.bin").exists() == (command == "eval")
 
 
 def test_eval_perfect_classifier_fixture(tmp_path):

@@ -358,8 +358,7 @@ def test_repeated_ranks_reuse_the_pairing_exactly(monkeypatch):
     assert runs == [(6, 7), (5, 4, 3)]
 
 
-def test_a_merged_tie_is_not_served_from_the_slot(monkeypatch):
-    # the slot is the previous barcode's pairing
+def test_a_merged_tie_is_not_served_from_the_previous_pairing(monkeypatch):
     runs = _count_pairings(monkeypatch)
     f = np.random.default_rng(22).permutation(30).reshape(5, 6).astype(float)
     g = f.copy()
@@ -370,7 +369,7 @@ def test_a_merged_tie_is_not_served_from_the_slot(monkeypatch):
     assert len(runs) == 3
 
 
-def test_the_slot_never_serves_another_shape(monkeypatch):
+def test_the_previous_pairing_never_serves_another_shape(monkeypatch):
     # the same flat ranks on grids of other shapes or dimensions, each call
     # handed the barcode of the grid before
     runs = _count_pairings(monkeypatch)
@@ -383,7 +382,7 @@ def test_the_slot_never_serves_another_shape(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["disk-28x28", "noise-7x7x7"])
-def test_every_grid_line_matches_the_reference_with_and_without_the_slot(case, monkeypatch):
+def test_every_grid_line_matches_the_reference_with_and_without_reuse(case, monkeypatch):
     if case == "disk-28x28":
         image = synthdata.disk_annulus_images(1, 28, seed=4)[0][0]
         field = compute_glog(normalize(Volume(image)), 0.5, 1.0)

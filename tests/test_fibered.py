@@ -74,7 +74,7 @@ def test_zero_g2_line_at_origin_reproduces_single_parameter():
     fb = compute_fibered_barcode(f, grid)
     single = compute_persistence(build_complex(g1))
     t_enter, t_exit = grid.crossing_interval(0.0)
-    expected = clip_bars(single.bars, t_enter, t_exit, grid.delta, (0, 1))
+    expected = clip_bars(single.bars, t_enter, t_exit, grid.delta)
     assert np.array_equal(fb.barcodes[0], expected)
 
 
@@ -129,21 +129,21 @@ def test_clip_bars_contract():
         death = np.where(rng.random(n) < 0.3, np.inf, birth + rng.uniform(0.0, 0.6, n))
         degree = rng.integers(0, 3, n)
         bars = tuple(map(Bar, birth.tolist(), death.tolist(), degree.tolist()))
-        out = clip_bars(bars, t_enter, t_exit, delta, (0, 1))
+        out = clip_bars(bars, t_enter, t_exit, delta)
         assert out.dtype == np.float64 and out.shape[1] == 3
         with pytest.raises(ValueError):
             out[:, 0] = 0.0
         b, d, k = out.T
         assert ((t_enter <= b) & (b < d)).all()
         assert ((d <= t_exit) | (d == t_exit + delta)).all()
-        assert set(k.tolist()) <= {0.0, 1.0}
+        assert set(k.tolist()) <= {0.0, 1.0, 2.0}
         assert np.lexsort((d, b, k)).tolist() == list(range(len(out)))
         # a bar is dropped exactly when its clipped interval is empty, and its
         # clipped death lies past t_exit exactly when it was infinite
         clipped = [
             (max(x.birth, t_enter), t_exit + delta if np.isinf(x.death) else min(x.death, t_exit),
              x.degree, np.isinf(x.death))
-            for x in bars if x.degree in (0, 1)
+            for x in bars
         ]
         want = sorted((r for r in clipped if r[1] > r[0]), key=lambda r: (r[2], r[0], r[1]))
         assert out.tolist() == [[b_, d_, float(k_)] for b_, d_, k_, _ in want]

@@ -30,11 +30,11 @@ import reference_render
 from synthdata import disk_annulus_images
 
 
-def fibered_barcode(grid, rows_per_line, degrees=(0,)):
+def fibered_barcode(grid, rows_per_line):
     """FiberedBarcode holding the given (birth, death, degree) rows on each
     line, in clip_bars' array form."""
     tables = tuple(np.array(rows, dtype=np.float64).reshape(-1, 3) for rows in rows_per_line)
-    return FiberedBarcode(grid, tables, degrees)
+    return FiberedBarcode(grid, tables)
 
 
 def single_bar_barcode(birth, death, offset, box, degree=0, num_lines=5):
@@ -42,7 +42,7 @@ def single_bar_barcode(birth, death, offset, box, degree=0, num_lines=5):
     idx = int(np.argmin(np.abs(grid.offsets - offset)))
     rows = [[]] * len(grid)
     rows[idx] = [(birth, death, degree)]
-    return fibered_barcode(grid, rows, (degree,)), grid.offsets[idx]
+    return fibered_barcode(grid, rows), grid.offsets[idx]
 
 
 def quadrature_mass(birth, death, offset, cfg, grid_delta, factor=10):
@@ -66,11 +66,15 @@ def quadrature_mass(birth, death, offset, cfg, grid_delta, factor=10):
 
 def test_empty_barcode_renders_zero():
     grid = make_line_grid((0.0, 0.0, 1.0, 1.0), 3)
-    fb = fibered_barcode(grid, [[]] * 3, (0, 1))
+    fb = fibered_barcode(grid, [[]] * 3)
     cfg = MpiConfig(box=grid.box)
     img = render_mpi(fb, 0, cfg)
     assert img.shape == (50, 50)
     assert (img == 0).all()
+    # a degree with no rows on any line draws the same empty image
+    fb = fibered_barcode(grid, [[(0.2, 0.6, 0)]] * 3)
+    assert render_mpi(fb, 0, cfg).sum() > 0.0
+    assert (render_mpi(fb, 1, cfg) == 0).all()
 
 
 def test_single_bar_mass_matches_quadrature():
@@ -182,14 +186,14 @@ def test_image_clamp_shortens_or_drops_stubs_born_past_exit():
         return render_mpi(fibered_barcode(grid, lines), 0, cfg)
 
     born = t_exit + grid.delta / 2
-    stub = clip_bars([Bar(born, math.inf, 0)], t_enter, t_exit, grid.delta, (0,))
+    stub = clip_bars([Bar(born, math.inf, 0)], t_enter, t_exit, grid.delta)
     assert stub.tolist() == [[born, t_exit + grid.delta, 0.0]]
     shortened = image([(born, t_exit + grid.delta, 0)])
     assert shortened.sum() > 0.0
     assert np.array_equal(image(stub), shortened)
 
     born = t_exit + grid.delta
-    stub = clip_bars([Bar(born, math.inf, 0)], t_enter, t_exit, grid.delta, (0,))
+    stub = clip_bars([Bar(born, math.inf, 0)], t_enter, t_exit, grid.delta)
     assert stub.shape == (0, 3)
     assert (image(stub) == 0.0).all()
 
@@ -208,24 +212,25 @@ def clipped_barcodes():
         grid = make_line_grid(cfg.box, 50)
         for f in fields:
             fb = compute_fibered_barcode(f, grid)
-            assert fb.degrees_present == tuple(range(len(f.dims)))
-            out.append((fb, cfg))
+            # every degree of the field has rows to draw
+            assert set(np.concatenate(fb.barcodes)[:, 2]) == set(range(len(f.dims)))
+            out.append((fb, cfg, len(f.dims)))
     return out
 
 
 def test_per_line_renderer_matches_loop_reference(clipped_barcodes):
     # summation order differs from the per-segment loop, so equality holds to
     # rounding
-    for fb, cfg in clipped_barcodes:
-        for degree in fb.degrees_present:
+    for fb, cfg, n in clipped_barcodes:
+        for degree in range(n):
             want = reference_render.render_mpi(fb, degree, cfg)
             got = render_mpi(fb, degree, cfg)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_zero_pixels_match_loop_reference(clipped_barcodes):
-    for fb, cfg in clipped_barcodes:
-        for degree in fb.degrees_present:
+    for fb, cfg, n in clipped_barcodes:
+        for degree in range(n):
             want = reference_render.render_mpi(fb, degree, cfg)
             assert np.array_equal(render_mpi(fb, degree, cfg) == 0.0, want == 0.0)
 
@@ -242,8 +247,8 @@ def test_one_render_call_per_line_with_its_rows_and_offset(clipped_barcodes, mon
         return render(*args, **kwargs)
 
     monkeypatch.setattr(vectorize, "render_segments", spy)
-    for fb, cfg in clipped_barcodes[::3]:
-        for degree in fb.degrees_present:
+    for fb, cfg, n in clipped_barcodes[::3]:
+        for degree in range(n):
             calls.clear()
             render_mpi(fb, degree, cfg)
             assert len(calls) == len(fb.grid)
@@ -253,11 +258,21 @@ def test_one_render_call_per_line_with_its_rows_and_offset(clipped_barcodes, mon
             assert sum(len(rows) for rows, *_ in calls) > 0
 
 
-def test_render_missing_degree():
-    grid = make_line_grid((0.0, 0.0, 1.0, 1.0), 3)
-    fb = fibered_barcode(grid, [[]] * 3)
-    with pytest.raises(ParameterError):
-        render_mpi(fb, 1, MpiConfig(box=grid.box))
+@pytest.mark.parametrize("degrees", [(0, 5), (-1,), (0, 0), ()],
+                         ids=["past-the-field", "negative", "repeated", "none"])
+def test_build_features_refuses_degrees_the_field_lacks(degrees):
+    # a 2D field has degrees 0 and 1 only: anything else would be an all-zero
+    # block or a repeated one, and no degree at all no feature vector
+    rng = np.random.default_rng(6)
+    f = BiGradedField(g1=rng.random((5, 5)), g2=rng.random((5, 5)))
+    cfg = MpiConfig(box=f.box, resolution=(4, 4))
+    grid = make_line_grid(cfg.box, 4)
+    with pytest.raises(ParameterError, match="degrees"):
+        build_features([f], cfg, grid=grid, degrees=degrees)
+    # the same degrees in another order draw the same blocks in ascending order
+    both = build_features([f], cfg, grid=grid, degrees=(1, 0))[0]
+    assert both.values.tobytes() == build_features([f], cfg, grid=grid)[0].values.tobytes()
+    assert len(build_features([f], cfg, grid=grid, degrees=(1,))[0]) == 16
 
 
 def test_config_validation():
@@ -365,6 +380,12 @@ def test_feature_bin_round_trip(tmp_path):
     np.testing.assert_array_equal(mat, np.vstack([f.values for f in feats]))
 
 
+def write_glf1(path, rows):
+    """A GLF1 file holding the given (label, *values) rows as they are."""
+    table = np.array(rows, dtype="<f8")
+    path.write_bytes(b"GLF1" + struct.pack("<II", *table.shape) + table.tobytes())
+
+
 def test_feature_bin_errors(tmp_path):
     path = tmp_path / "f.bin"
     path.write_bytes(b"XXXX" + bytes(8))
@@ -384,6 +405,31 @@ def test_feature_bin_errors(tmp_path):
         read_feature_bin(path)
     assert err.type is FormatError
     for label in (-1.0, 0.5, math.nan, math.inf, 1e300):
-        write_feature_bin(path, feats * 2, [0, label])
+        write_glf1(path, [[0.0, 0, 0, 0, 0], [label, 0, 0, 0, 0]])
         with pytest.raises(FormatError, match="label"):
             read_feature_bin(path)
+    for value in (math.nan, math.inf, -math.inf):
+        write_glf1(path, [[0.0, 0, 0, 0, 0], [1.0, 0, value, 0, 0]])
+        with pytest.raises(FormatError, match="finite"):
+            read_feature_bin(path)
+
+
+@pytest.mark.parametrize("writer", ["csv", "bin"])
+def test_feature_writers_refuse_what_the_reader_refuses(tmp_path, writer):
+    def write(feats, labels):
+        if writer == "csv":
+            return features_to_csv(feats, labels)
+        write_feature_bin(tmp_path / "f.bin", feats, labels)
+
+    feats = [FeatureVector(np.zeros(4)), FeatureVector(np.ones(4))]
+    for label in (-1, -1.0, 0.5, math.nan, math.inf, 1e300, 2.0**63):
+        with pytest.raises(ParameterError, match="label"):
+            write(feats, [0, label])
+    for value in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            write([feats[0], FeatureVector([1.0, value, 0.0, 0.0])], [0, 1])
+    with pytest.raises(ParameterError, match="ragged"):
+        write([feats[0], FeatureVector(np.ones(3))], [0, 1])
+    with pytest.raises(ParameterError, match="one label per"):
+        write(feats, [0])
+    write(feats, np.array([0.0, 3.0]))  # integral floats are labels

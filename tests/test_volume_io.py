@@ -257,6 +257,18 @@ def test_load_dataset_grayscale_and_labels(tmp_path):
     np.testing.assert_allclose(ds.volumes[0].data, expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -1.0], ids=["fractional", "nan", "inf", "negative"])
+def test_load_dataset_refuses_labels_that_are_not_integers(tmp_path, bad):
+    images = np.zeros((3, 4, 4), dtype=np.uint8)
+    path = tmp_path / "labels.npz"
+    for dtype in (np.float64, np.float32):
+        np.savez(path, val_images=images, val_labels=np.array([[0.0], [bad], [1.0]], dtype=dtype))
+        with pytest.raises(FormatError, match=r"val_labels\[1\] is .*, not an integer"):
+            load_dataset(path, "val")
+    np.savez(path, val_images=images, val_labels=np.array([[0.0], [2.0], [1.0]]))
+    assert load_dataset(path, "val").labels.tolist() == [0, 2, 1]
+
+
 def test_load_dataset_3d(tmp_path):
     rng = np.random.default_rng(8)
     images = rng.integers(0, 256, size=(2, 4, 4, 4)).astype(np.uint8)
