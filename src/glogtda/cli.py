@@ -91,7 +91,6 @@ OPTIONS = {
         "sigma_gauss": (float, None, "run a single sigma instead of the 0.5/1/1.5 sweep"),
         "sigma_log": (float, 1.0, "edge-response sigma"),
         "num_lines": (int, 50, "slicing lines"),
-        "debug_bound_scale": (float, 1.0, "rescale the certified bound (negative-control only)"),
     },
     "decomposition-demo": {
         **_COMMON,
@@ -283,6 +282,8 @@ def cmd_train(o) -> int:
             f"feature dims disagree: train {train_x.shape[1]} vs val {val_x.shape[1]}"
         )
     num_classes = int(max(train_y.max(), val_y.max())) + 1
+    if num_classes > len(train_y):  # a stray label would size the output layer
+        raise ParameterError(f"label {num_classes - 1}: more classes than {len(train_y)} rows")
     cfg = TrainConfig(learning_rate=o.learning_rate, epochs=o.epochs, batch_size=o.batch_size,
                       patience=o.patience, rng_seed=o.seed)
     model = init_model(model_dims_for(train_x.shape[1], num_classes), o.seed)
@@ -337,7 +338,6 @@ def cmd_stability(o) -> int:
         rep = stability_harness.run_stability_suite(
             n_trials=o.trials, dims=o.dims, sigma_gauss=sg, sigma_log=o.sigma_log,
             noise_eps=o.noise_eps, seed=o.seed, num_lines=o.num_lines,
-            bound_scale=o.debug_bound_scale,
         )
         print(rep.table())
         reports.append(json.loads(rep.to_json()))

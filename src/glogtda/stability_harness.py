@@ -30,6 +30,7 @@ from .kernels import continuum_lipschitz_bound, gaussian_kernel, lipschitz_const
 from .volume_io import Volume
 
 TOLERANCE = 1e-9
+DECOMP_DIMS = (12, 12)  # decomposition fields; patches 2-4 cells wide, >= 1 from the edge
 
 
 @dataclass
@@ -104,13 +105,8 @@ def run_stability_suite(
     noise_eps: float = 0.1,
     seed: int = 0,
     num_lines: int = 50,
-    bound_scale: float = 1.0,
 ) -> StabilityReport:
-    """Random-pair certification of the field and per-line stability bounds.
-
-    bound_scale deliberately rescales the certified bound; anything other
-    than 1.0 is for negative-control runs of the harness itself.
-    """
+    """Random-pair certification of the field and per-line stability bounds."""
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     if noise_eps < 0:
@@ -156,7 +152,7 @@ def run_stability_suite(
         f2 = compute_glog(Volume(phi2), sigma_gauss, sigma_log)
         phi_dist = float(np.abs(phi1 - phi2).max())
         field_dist = sup_distance(f1, f2)
-        bound = max(lip_gauss, lip_log) * phi_dist * bound_scale
+        bound = max(lip_gauss, lip_log) * phi_dist
         field_ok = field_dist <= bound + TOLERANCE
 
         grid = make_line_grid(union_box(f1.box, f2.box), num_lines)
@@ -167,7 +163,7 @@ def run_stability_suite(
             for degree in range(n):
                 d = bottleneck(bc1.at_degree(degree), bc2.at_degree(degree))
                 max_bn[degree] = max(max_bn[degree], d)
-                if d > field_dist * bound_scale + TOLERANCE:
+                if d > field_dist + TOLERANCE:
                     lines_ok = False
         report.trials.append(
             StabilityTrial(
@@ -229,40 +225,40 @@ class DecompositionReport:
         return "\n".join(lines) + "\n"
 
 
-def _random_patch(rng, dims, margin=1, lo=2, hi=4):
-    size = (int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1)))
-    r0 = int(rng.integers(margin, dims[0] - margin - size[0] + 1))
-    c0 = int(rng.integers(margin, dims[1] - margin - size[1] + 1))
+def _random_patch(rng):
+    size = (int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+    r0 = int(rng.integers(1, DECOMP_DIMS[0] - size[0]))
+    c0 = int(rng.integers(1, DECOMP_DIMS[1] - size[1]))
     return (slice(r0, r0 + size[0]), slice(c0, c0 + size[1]))
 
 
-def disjoint_support_pair(rng, dims=(12, 12), min_separation=2):
-    """Two positive patches whose Chebyshev distance is >= min_separation.
+def disjoint_support_pair(rng):
+    """Two positive patches on DECOMP_DIMS whose Chebyshev distance is >= 2.
 
     Separation >= 2 guarantees no elementary cube touches both supports, so
     every cube lies in at least one of the two sublevel families; that is the
     condition under which the per-line modules decompose.
     """
     for _ in range(200):
-        g1 = np.zeros(dims)
-        g2 = np.zeros(dims)
-        pa = _random_patch(rng, dims)
-        pb = _random_patch(rng, dims)
+        g1 = np.zeros(DECOMP_DIMS)
+        g2 = np.zeros(DECOMP_DIMS)
+        pa = _random_patch(rng)
+        pb = _random_patch(rng)
         g1[pa] = g2[pb] = 1.0  # the supports; values are drawn once they are separated
-        if _supports_separated(g1, g2, min_separation):
+        if _supports_separated(g1, g2):
             g1[pa] = rng.uniform(0.2, 1.0, g1[pa].shape)
             g2[pb] = rng.uniform(0.2, 1.0, g2[pb].shape)
             return g1, g2
-    raise ParameterError("could not sample separated patches; grid too small")
+    raise ParameterError("could not sample separated patches in 200 draws")
 
 
-def _supports_separated(g1: np.ndarray, g2: np.ndarray, min_separation=2) -> bool:
+def _supports_separated(g1: np.ndarray, g2: np.ndarray) -> bool:
     a = np.argwhere(g1 > 0)
     b = np.argwhere(g2 > 0)
     if len(a) == 0 or len(b) == 0:
         return True
     dist = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
-    return int(dist.min()) >= min_separation
+    return int(dist.min()) >= 2
 
 
 def check_decomposition(
@@ -302,7 +298,6 @@ def check_decomposition(
 def run_decomposition_suite(
     seed: int = 0,
     n_geometries: int = 20,
-    dims: tuple[int, int] = (12, 12),
     num_lines: int = 30,
 ) -> DecompositionReport:
     """Randomized direct-sum certification, plus two fixed edge cases:
@@ -311,20 +306,20 @@ def run_decomposition_suite(
     if n_geometries < 1:
         raise ParameterError(f"n_geometries must be >= 1, got {n_geometries}")
     rng = np.random.default_rng(seed)
-    report = DecompositionReport(seed=seed, dims=tuple(dims), num_lines=num_lines)
+    report = DecompositionReport(seed=seed, dims=DECOMP_DIMS, num_lines=num_lines)
     for idx in range(n_geometries):
         if idx == 0:
-            g1, _ = disjoint_support_pair(rng, dims)
-            g2 = np.zeros(dims)
+            g1, _ = disjoint_support_pair(rng)
+            g2 = np.zeros(DECOMP_DIMS)
         else:
-            g1, g2 = disjoint_support_pair(rng, dims)
+            g1, g2 = disjoint_support_pair(rng)
         equal, bars = check_decomposition(g1, g2, num_lines)
         report.geometries.append(
             GeometryResult(idx, applicable=equal is not None, equal=equal,
                            lines_checked=num_lines, bars_checked=bars)
         )
     # negative control: overlapping supports are out of scope, not asserted
-    overlap = np.zeros(dims)
+    overlap = np.zeros(DECOMP_DIMS)
     overlap[4:8, 4:8] = 0.5
     equal, bars = check_decomposition(overlap, overlap.copy(), num_lines)
     report.geometries.append(

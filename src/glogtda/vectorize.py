@@ -32,7 +32,7 @@ from .fibered import (
     compute_fibered_barcode,
     widen_box,
 )
-from .volume_io import is_label
+from .volume_io import LABEL_RULE, is_label
 
 MAGIC_FEATURES = b"GLF1"
 
@@ -201,7 +201,7 @@ def _feature_table(features: list[FeatureVector], labels) -> np.ndarray:
     unless read_feature_bin would accept them back."""
     labels = np.asarray(labels).reshape(-1)
     if len(labels) != len(features) or not is_label(labels).all():
-        raise ParameterError("need one label per feature vector, each an integer in [0, 2**63)")
+        raise ParameterError(f"need one label per feature vector, each {LABEL_RULE}")
     if len({len(fv) for fv in features}) > 1:
         raise ParameterError("ragged feature lengths")
     table = np.empty((len(features), 1 + (len(features[0]) if features else 0)), dtype="<f8")
@@ -215,9 +215,8 @@ def _feature_table(features: list[FeatureVector], labels) -> np.ndarray:
 
 def features_to_csv(features: list[FeatureVector], labels) -> str:
     """One row per sample: label first (exact integer text), then the values."""
-    table = _feature_table(features, labels)
-    rows = [",".join([str(int(lab)), *map(repr, row.tolist())])
-            for lab, row in zip(np.asarray(labels).reshape(-1).tolist(), table[:, 1:])]
+    rows = [",".join([str(int(row[0])), *map(repr, row[1:].tolist())])
+            for row in _feature_table(features, labels)]
     return "\n".join(rows) + "\n"
 
 
@@ -251,7 +250,7 @@ def read_feature_bin(path) -> tuple[np.ndarray, np.ndarray]:
     matrix = np.frombuffer(data, dtype="<f8", offset=12).reshape(count, dim)
     labels = matrix[:, 0]
     if not is_label(labels).all():
-        raise FormatError("feature labels must be integers in [0, 2**63)")
+        raise FormatError(f"feature labels must each be {LABEL_RULE}")
     if not np.isfinite(matrix[:, 1:]).all():
         raise FormatError("feature values must be finite")
     return matrix[:, 1:].copy(), labels.astype(np.int64)

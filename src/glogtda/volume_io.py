@@ -35,6 +35,7 @@ _HEADER_READERS = {
 
 # ITU-R BT.601 luminance weights, fixed for determinism
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
+LABEL_RULE = "an integer in [0, 2**53)"  # is_label's rule, as errors state it
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class Dataset:
     def __post_init__(self):
         if self.split not in ("train", "val", "test"):
             raise ParameterError(f"split must be train/val/test, got {self.split!r}")
-        labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        labels = np.asarray(self.labels).reshape(-1)
         if len(self.volumes) == 0 or len(self.volumes) != labels.size:
             raise ParameterError(
                 f"need equally many volumes and labels, nonzero; "
@@ -93,8 +94,10 @@ class Dataset:
         for v in self.volumes:
             if v.dims != dims0:
                 raise ShapeError(f"mixed volume dims: {v.dims} vs {dims0}")
-        if labels.min() < 0:
-            raise ParameterError(f"labels must be >= 0, got {int(labels.min())}")
+        bad = np.flatnonzero(~is_label(labels))
+        if len(bad):
+            raise ParameterError(f"labels[{bad[0]}] is {labels[bad[0]]!r}, not {LABEL_RULE}")
+        labels = labels.astype(np.int64)
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
@@ -176,10 +179,11 @@ def normalize(v: Volume) -> Volume:
 
 
 def is_label(values) -> np.ndarray:
-    """Elementwise: is the value an integer in [0, 2**63)? The one label rule
-    of dataset archives and feature files; NaN and infinities fail."""
+    """Elementwise: is the value an integer in [0, 2**53)? The one label rule
+    of datasets and feature files: below 2**53, GLF1's float64 holds every
+    integer exactly. NaN and infinities fail."""
     values = np.asarray(values)
-    return (values >= 0) & (values < 2**63) & (values == np.floor(values))
+    return (values >= 0) & (values < 2**53) & (values == np.floor(values))
 
 
 def _squeeze_labels(labels: np.ndarray, entry: str) -> np.ndarray:
@@ -191,7 +195,7 @@ def _squeeze_labels(labels: np.ndarray, entry: str) -> np.ndarray:
         raise ShapeError(f"labels must squeeze to 1D, got shape {labels.shape}")
     bad = np.flatnonzero(~is_label(arr))
     if len(bad):
-        raise FormatError(f"{entry}[{bad[0]}] is {arr[bad[0]]!r}, not an integer in [0, 2**63)")
+        raise FormatError(f"{entry}[{bad[0]}] is {arr[bad[0]]!r}, not {LABEL_RULE}")
     return arr.astype(np.int64)
 
 

@@ -204,7 +204,7 @@ def test_criterion_4_per_line_bottleneck_stability(stability_runs):
 
 
 def test_criterion_5_essential_single_parameter_decomposition():
-    rep = run_decomposition_suite(seed=505, n_geometries=20, dims=(12, 12), num_lines=30)
+    rep = run_decomposition_suite(seed=505, n_geometries=20, num_lines=30)
     applicable = [g for g in rep.geometries if g.applicable]
     bars = sum(g.bars_checked for g in applicable)
     ok = rep.passed and len(applicable) >= 20

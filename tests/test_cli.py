@@ -426,9 +426,12 @@ def test_unconvertible_threads_env_names_the_variable(tmp_path, toy_dataset, mon
     assert capsys.readouterr().err.startswith("error: GLOG_THREADS")
 
 
-@pytest.mark.parametrize("label", [-1.0, 0.5], ids=["negative", "fractional"])
+@pytest.mark.parametrize("label", [-1.0, 0.5, 2.0**40],
+                         ids=["negative", "fractional", "more-classes-than-rows"])
 def test_train_rejects_labels_that_are_not_class_indices(tmp_path, capsys, label):
-    # written by hand: write_feature_bin refuses such labels itself
+    # written by hand: write_feature_bin refuses the first two itself; the
+    # last is a valid label, but an output layer of 2**40 + 1 classes would
+    # ask for 512 TiB
     out = tmp_path / "labels"
     out.mkdir()
     rows = np.column_stack(([0, 1, 0, 1], np.random.default_rng(5).random((4, 3))))
@@ -436,7 +439,10 @@ def test_train_rejects_labels_that_are_not_class_indices(tmp_path, capsys, label
     rows[3, 0] = label
     write_glf1(out / "features_train.bin", rows)
     assert run(["train", "--out", out, "--epochs", "2", "--patience", "2"]) == 2
-    assert "label" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "label" in err
+    if label == 2**40:
+        assert f"label {2**40}:" in err
     assert not (out / "checkpoint.bin").exists()
 
 
@@ -549,11 +555,36 @@ def test_stability_noise_zero(tmp_path):
     assert code == 0
 
 
-def test_stability_tampered_bound_fails(tmp_path):
+def test_stability_tampered_bound_fails(tmp_path, monkeypatch):
+    from glogtda import stability_harness
+
+    sup_distance = stability_harness.sup_distance
+    monkeypatch.setattr(stability_harness, "sup_distance",
+                        lambda f1, f2: 0.01 * sup_distance(f1, f2))
     code = run(["stability", "--out", tmp_path / "bad", "--trials", "2",
-                "--dims", "5x5", "--num-lines", "5", "--sigma-gauss", "1.0",
-                "--debug-bound-scale", "0.5"])
+                "--dims", "5x5", "--num-lines", "5", "--sigma-gauss", "1.0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_stability_bound_cannot_be_rescaled(tmp_path, capsys, source):
+    # the certified bound is fixed; negative controls live in the tests
+    out = tmp_path / "st"
+    args = ["stability", "--out", out, "--trials", "1", "--dims", "5x5", "--num-lines", "4"]
+    if source == "flag":
+        args += ["--debug-bound-scale", "0.5"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"debug_bound_scale": 0.5}))
+        args = ["--config", cfg, *args]
+    try:
+        code = run(args)
+    except SystemExit as exc:  # argparse refuses an unknown flag itself
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert any("error:" in line and "debug" in line for line in err)
+    assert not out.exists()
 
 
 def test_decomposition_demo(tmp_path):

@@ -57,12 +57,27 @@ def test_suite_reuses_the_pairing_of_repeated_lines(monkeypatch):
     assert len(pairings) < 2 * lines * trials
 
 
-def test_suite_negative_control_bound_scale():
-    rep = run_stability_suite(
-        n_trials=3, dims=(6, 6), sigma_gauss=0.5, noise_eps=0.1, seed=0,
-        num_lines=6, bound_scale=0.01,
-    )
+def test_suite_fails_every_trial_when_the_field_distance_is_understated(monkeypatch):
+    # negative control for the per-line check: each bottleneck distance now
+    # exceeds the reported field distance
+    sup_distance = stability_harness.sup_distance
+    monkeypatch.setattr(stability_harness, "sup_distance",
+                        lambda f1, f2: 0.01 * sup_distance(f1, f2))
+    rep = run_stability_suite(n_trials=3, dims=(6, 6), sigma_gauss=0.5, noise_eps=0.1,
+                              seed=0, num_lines=6)
     assert not rep.passed
+    assert all(t.field_ok and not t.lines_ok for t in rep.trials)
+
+
+def test_suite_fails_every_trial_when_the_lipschitz_constants_are_understated(monkeypatch):
+    # negative control for the field check: the bound shrinks below the field distance
+    lipschitz_constant = stability_harness.lipschitz_constant
+    monkeypatch.setattr(stability_harness, "lipschitz_constant",
+                        lambda kernel: 0.01 * lipschitz_constant(kernel))
+    rep = run_stability_suite(n_trials=3, dims=(6, 6), sigma_gauss=0.5, noise_eps=0.1,
+                              seed=0, num_lines=6)
+    assert not rep.passed
+    assert all(t.lines_ok and not t.field_ok for t in rep.trials)
 
 
 def test_suite_rejects_negative_eps():
@@ -122,7 +137,7 @@ def test_suite_table_renders():
 def test_disjoint_support_pair_separation():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        g1, g2 = disjoint_support_pair(rng, (12, 12))
+        g1, g2 = disjoint_support_pair(rng)
         a = np.argwhere(g1 > 0)
         b = np.argwhere(g2 > 0)
         dist = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2).min()
@@ -131,7 +146,7 @@ def test_disjoint_support_pair_separation():
 
 def test_check_decomposition_equal_on_separated_pair():
     rng = np.random.default_rng(1)
-    g1, g2 = disjoint_support_pair(rng, (12, 12))
+    g1, g2 = disjoint_support_pair(rng)
     equal, bars = check_decomposition(g1, g2, num_lines=12)
     assert equal is True
     assert bars > 0
@@ -139,7 +154,7 @@ def test_check_decomposition_equal_on_separated_pair():
 
 def test_check_decomposition_empty_region():
     rng = np.random.default_rng(2)
-    g1, _ = disjoint_support_pair(rng, (12, 12))
+    g1, _ = disjoint_support_pair(rng)
     equal, _ = check_decomposition(g1, np.zeros((12, 12)), num_lines=10)
     assert equal is True
 

@@ -360,12 +360,12 @@ def test_feature_csv_layout():
 
 
 def test_feature_csv_text_on_awkward_values():
-    # shortest round-trip reprs, signed zero, subnormals and labels near 2**63
+    # shortest round-trip reprs, signed zero, subnormals and the largest labels
     feats = [FeatureVector(np.array([-0.0, 1e-300, 0.1 + 0.2, 5e-324])),
              FeatureVector(np.array([1 / 3, 1e300, 2.0**53 + 2, 0.0]))]
-    csv = features_to_csv(feats, np.array([2**62, 2**63 - 1], dtype=np.int64))
-    assert csv == ("4611686018427387904,-0.0,1e-300,0.30000000000000004,5e-324\n"
-                   "9223372036854775807,0.3333333333333333,1e+300,9007199254740994.0,0.0\n")
+    csv = features_to_csv(feats, np.array([2**53 - 2, 2**53 - 1], dtype=np.int64))
+    assert csv == ("9007199254740990,-0.0,1e-300,0.30000000000000004,5e-324\n"
+                   "9007199254740991,0.3333333333333333,1e+300,9007199254740994.0,0.0\n")
     assert features_to_csv([FeatureVector(np.array([]))], [7]) == "7\n"
 
 
@@ -404,7 +404,7 @@ def test_feature_bin_errors(tmp_path):
     with pytest.raises(FormatError) as err:
         read_feature_bin(path)
     assert err.type is FormatError
-    for label in (-1.0, 0.5, math.nan, math.inf, 1e300):
+    for label in (-1.0, 0.5, math.nan, math.inf, 1e300, 2.0**53):
         write_glf1(path, [[0.0, 0, 0, 0, 0], [label, 0, 0, 0, 0]])
         with pytest.raises(FormatError, match="label"):
             read_feature_bin(path)
@@ -422,7 +422,8 @@ def test_feature_writers_refuse_what_the_reader_refuses(tmp_path, writer):
         write_feature_bin(tmp_path / "f.bin", feats, labels)
 
     feats = [FeatureVector(np.zeros(4)), FeatureVector(np.ones(4))]
-    for label in (-1, -1.0, 0.5, math.nan, math.inf, 1e300, 2.0**63):
+    # from 2**53 on, GLF1's float64 would round the label or read it back refused
+    for label in (-1, -1.0, 0.5, math.nan, math.inf, 1e300, 2.0**63, 2**53, 2**53 + 1):
         with pytest.raises(ParameterError, match="label"):
             write(feats, [0, label])
     for value in (math.nan, math.inf):

@@ -239,8 +239,16 @@ def test_dataset_validation():
         Dataset(volumes=vols, labels=[0], split="train")
     with pytest.raises(ShapeError):
         Dataset(volumes=[vols[0], Volume(np.zeros((3, 3)))], labels=[0, 1], split="train")
-    with pytest.raises(ParameterError):
-        Dataset(volumes=vols, labels=[0, -1], split="train")
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan, -1, 2**53],
+                         ids=["fractional", "nan", "negative", "2**53"])
+def test_dataset_refuses_labels_before_the_integer_cast(bad):
+    # an int64 cast first would turn 1.5 into class 1
+    vols = [Volume(np.zeros((2, 2))), Volume(np.zeros((2, 2)))]
+    rule = r"labels\[1\] is .*, not an integer in \[0, 2\*\*53\)"
+    with pytest.raises(ParameterError, match=rule):
+        Dataset(volumes=vols, labels=[0, bad], split="train")
 
 
 def test_load_dataset_grayscale_and_labels(tmp_path):
@@ -257,7 +265,8 @@ def test_load_dataset_grayscale_and_labels(tmp_path):
     np.testing.assert_allclose(ds.volumes[0].data, expected, rtol=1e-12)
 
 
-@pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -1.0], ids=["fractional", "nan", "inf", "negative"])
+@pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -1.0, 2.0**53],
+                         ids=["fractional", "nan", "inf", "negative", "2**53"])
 def test_load_dataset_refuses_labels_that_are_not_integers(tmp_path, bad):
     images = np.zeros((3, 4, 4), dtype=np.uint8)
     path = tmp_path / "labels.npz"
