@@ -21,6 +21,8 @@ from .cubical_persistence import (
     build_complex,
     component_count,
     compute_persistence,
+    label_betti,
+    label_ranks,
 )
 from .errors import (
     DomainError,

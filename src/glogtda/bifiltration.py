@@ -28,8 +28,9 @@ class BiGradedField:
     g2: np.ndarray
 
     def __post_init__(self):
-        g1 = np.ascontiguousarray(self.g1, dtype=np.float64)
-        g2 = np.ascontiguousarray(self.g2, dtype=np.float64)
+        # private copies, so the caller's arrays stay writable and unshared
+        g1 = np.array(self.g1, dtype=np.float64, order="C")
+        g2 = np.array(self.g2, dtype=np.float64, order="C")
         if g1.shape != g2.shape:
             raise ShapeError(f"grade arrays disagree: {g1.shape} vs {g2.shape}")
         g1.setflags(write=False)
@@ -65,10 +66,7 @@ def compute_glog(
     if sigma_gauss < 0:
         raise ParameterError(f"sigma_gauss must be >= 0, got {sigma_gauss}")
     n = v.n
-    if sigma_gauss == 0:
-        g1 = v.data.copy()
-    else:
-        g1 = convolve(v.data, gaussian_kernel(sigma_gauss, n))
+    g1 = v.data if sigma_gauss == 0 else convolve(v.data, gaussian_kernel(sigma_gauss, n))
     g2 = convolve(v.data, log_kernel(sigma_log, n))
     return BiGradedField(g1=g1, g2=g2)
 

@@ -49,7 +49,7 @@ class Volume:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
+        arr = np.array(self.data, dtype=np.float64, order="C")  # a private copy
         if arr.ndim not in (2, 3):
             raise ShapeError(f"volume must be 2D or 3D, got ndim={arr.ndim}")
         if any(d < 2 for d in arr.shape):

@@ -28,6 +28,17 @@ def test_sigma_zero_is_identity():
     np.testing.assert_array_equal(f.g1, data)
 
 
+def test_field_keeps_private_copies():
+    b = np.zeros((2, 4, 4))
+    g2 = np.ones((4, 4))
+    f = BiGradedField(g1=b[0], g2=g2)
+    b[0, 0, 0] = g2[0, 0] = 5.0  # writable, and not seen by the field
+    assert f.g1[0, 0] == 0.0 and f.g2[0, 0] == 1.0
+    assert not f.g1.flags.writeable and not f.g2.flags.writeable
+    v = Volume(np.zeros((4, 4)))
+    assert not np.shares_memory(compute_glog(v, 0.0, 1.0).g1, v.data)
+
+
 def test_sigma_validation():
     v = Volume(np.zeros((4, 4)))
     with pytest.raises(ParameterError):

@@ -23,6 +23,8 @@ from glogtda.cubical_persistence import (
     build_complex,
     component_count,
     compute_persistence,
+    label_betti,
+    label_ranks,
 )
 from glogtda.errors import DomainError, ShapeError
 from glogtda.fibered import line_barcodes, make_line_grid
@@ -191,6 +193,65 @@ def test_degree0_union_find_check():
         bc = compute_persistence(c)
         for t in np.unique(c.grades):
             assert bc.alive_count(t, 0) == component_count(c, t)
+
+
+def test_label_betti_fixtures():
+    f = np.zeros((3, 3))
+    f[1, 1] = 1.0
+    c = build_complex(f)
+    assert [label_betti(c, t) for t in (-0.5, 0.0, 1.0)] == [[0, 0], [1, 1], [1, 0]]
+    g = np.zeros((3, 3, 3))
+    g[1, 1, 1] = 1.0  # a hollow cube at 0, a solid one at 1
+    h = np.ones((3, 5, 5))
+    h[1, 1:4, 1:4] = 0.0
+    h[1, 2, 2] = 1.0  # a flat ring at 0, a filled square at 1
+    c, d = build_complex(g), build_complex(h)
+    assert label_betti(c, 0.0) == betti_oracle(c, 0.0) == [1, 0, 1]
+    assert label_betti(c, 1.0) == betti_oracle(c, 1.0) == [1, 0, 0]
+    assert label_betti(d, 0.0) == betti_oracle(d, 0.0) == [1, 1, 0]
+    assert label_ranks(c, 0.0, 0.5) == (1, 1) and label_ranks(c, 0.0, 1.0) == (1, 0)
+    with pytest.raises(ShapeError):
+        label_betti(build_complex(np.zeros((2, 2, 2, 2))), 0.0)
+
+
+def test_label_betti_matches_betti_oracle_on_small_fields():
+    rng = np.random.default_rng(6)
+    for shape in [(4, 5), (5, 6, 4), (3, 4, 3)]:
+        for _ in range(4):
+            c = build_complex(rng.integers(0, 4, shape).astype(float))
+            for t in (-1.0, 0.0, 1.0, 2.0, 3.0):
+                assert label_betti(c, t) == betti_oracle(c, t), (shape, t)
+
+
+@pytest.mark.parametrize("case", ["disk-28x28", "noise-16x16x16", "noise-20x20x20"])
+def test_every_line_matches_the_label_oracle(case):
+    # alive counts, and the persistent ranks of degrees 0 and n-1, which test
+    # the pairing itself, on every line of a smoothed image or volume
+    rng = np.random.default_rng(7)
+    if case == "disk-28x28":
+        image = synthdata.disk_annulus_images(1, 28, seed=5)[0][0]
+        field = compute_glog(normalize(Volume(image)), 0.5, 1.0)
+    else:
+        size = int(case.split("x")[-1])
+        field = compute_glog(normalize(Volume(rng.integers(0, 256, (size,) * 3))), 1.5, 1.0)
+    n = len(field.dims)
+    offsets = make_line_grid(field.box, 50).offsets.tolist()
+    for off, bc in zip(offsets, line_barcodes(field, offsets)):
+        c = build_complex(slice_scalar_field(field, off))
+        values = np.unique(c.field)
+        grades = values[np.linspace(0, values.size - 1, 10).round().astype(int)[1:-1]]
+        for t in grades:
+            assert label_betti(c, t) == [bc.alive_count(t, k) for k in range(n)], (off, t)
+        # (s, t) at a finite bar's birth and the last grade before its death,
+        # where a bar with the wrong partner changes the rank; 8 bars a line
+        birth, death, degree = bc.table.T
+        bars = np.flatnonzero(((degree == 0) | (degree == n - 1)) & (death < INF))
+        bars = rng.permutation(bars)[:8]
+        ends = zip(birth[bars], values[np.searchsorted(values, death[bars]) - 1])
+        for s, t in [*ends, *zip(grades[:4], grades[4:])]:
+            alive = (birth <= s) & (death > t)
+            want = tuple(int(np.count_nonzero(alive & (degree == k))) for k in (0, n - 1))
+            assert label_ranks(c, s, t) == want, (off, s, t)
 
 
 def kernel_basis_f2(cols):

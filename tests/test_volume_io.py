@@ -228,6 +228,17 @@ def test_volume_validation():
         v.data[0, 0] = 1.0  # read-only
 
 
+def test_volume_keeps_a_private_copy():
+    x = np.zeros((3, 4))
+    v = Volume(x)
+    x[0, 0] = 1.0  # the caller's array stays writable, and the volume does not see it
+    b = np.zeros((2, 3, 4))
+    w = Volume(b[0])
+    b[0, 0, 0] = 2.0  # nor a view into a larger array
+    assert v.data[0, 0] == 0.0 and w.data[0, 0] == 0.0
+    assert not v.data.flags.writeable and not w.data.flags.writeable
+
+
 def test_dataset_validation():
     vols = [Volume(np.zeros((2, 2))), Volume(np.zeros((2, 2)))]
     ds = Dataset(volumes=vols, labels=[0, 1], split="train")
