@@ -14,6 +14,7 @@ None is filled in by the command from other values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stability_harness, vectorize
-from .bifiltration import compute_glog
+from .bifiltration import compute_glog, union_box
 from .errors import FormatError, GlogError, NotFoundError, ParameterError, ShapeError
 from .fibered import make_line_grid
 from .learn import (
@@ -40,7 +41,7 @@ from .learn import (
     train,
 )
 from .vectorize import MpiConfig, read_feature_bin
-from .volume_io import load_dataset
+from .volume_io import CHUNK, read_split, to_volumes
 
 SIGMA_GAUSS_CHOICES = (0.0, 0.5, 1.0, 1.5)
 SPLITS = ("train", "val", "test")
@@ -174,6 +175,57 @@ def _clip_report(boxes, box) -> dict:
             "max_excess": float(reach.max(initial=0.0))}
 
 
+def _extract_split(out_dir: Path, split: str, stack, extract_one, threads: int,
+                   width: int, glog) -> tuple[list[float], np.ndarray]:
+    """Stream one split, CHUNK samples at a time, through one pool into
+    features_{split}.csv and .bin, each renamed into place when complete.
+    Returns each sample's extraction seconds and grade box."""
+    images, labels, rgb_to_gray = stack
+    seconds, boxes = [], np.empty((len(images), 4))
+    csv_path, bin_path = (out_dir / f"features_{split}.{ext}" for ext in ("csv", "bin"))
+    csv_tmp, bin_tmp = (p.with_name(p.name + ".tmp") for p in (csv_path, bin_path))
+    # a pool forks all its workers at once, so never more than there is work or cores for
+    workers = min(threads, len(images), os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    with pool or contextlib.nullcontext(), open(csv_tmp, "w") as csv, open(bin_tmp, "wb") as glf1:
+        glf1.write(vectorize.glf1_header(len(images), width))
+        for lo in range(0, len(images), CHUNK):
+            fields = [glog(v) for v in to_volumes(images[lo : lo + CHUNK], rgb_to_gray)]
+            results = list((pool.map if pool else map)(extract_one, fields))
+            feats, labs = [r[0] for r in results], labels[lo : lo + CHUNK]
+            csv.write(vectorize.features_to_csv(feats, labs))
+            glf1.write(vectorize.feature_table(feats, labs).tobytes())
+            seconds += [r[1] for r in results]
+            boxes[lo : lo + len(fields)] = [f.box for f in fields]
+    os.replace(csv_tmp, csv_path)
+    os.replace(bin_tmp, bin_path)
+    return seconds, boxes
+
+
+def _check_splits(path, glog) -> tuple[dict, dict, tuple]:
+    """Every split present, converted a chunk at a time so that every input
+    check runs before any output is written: each split's rgb_to_gray and
+    volume rank, and the train split's grade box from one glog pass."""
+    rgb_to_gray, n_dims, train_boxes = {}, {}, []
+    for split in SPLITS:
+        try:
+            images, _, rgb_to_gray[split] = read_split(path, split)
+        except NotFoundError:
+            continue  # split absent from the archive
+        n_dims[split] = images.ndim - 1 - rgb_to_gray[split]
+        for lo in range(0, len(images), CHUNK):
+            volumes = to_volumes(images[lo : lo + CHUNK], rgb_to_gray[split])
+            if split == "train":
+                train_boxes.append(union_box(*(glog(v).box for v in volumes)))
+    if "train" not in n_dims:
+        raise ParameterError(f"dataset {path} has no train split")
+    # degrees and the grade box come from the train split; other splits must match
+    for split, n in n_dims.items():
+        if n != n_dims["train"]:
+            raise ShapeError(f"{split} split holds {n}D volumes, train split {n_dims['train']}D")
+    return rgb_to_gray, n_dims, union_box(*train_boxes)
+
+
 def cmd_extract(o) -> int:
     if not o.dataset:
         raise ParameterError("--dataset is required")
@@ -187,61 +239,31 @@ def cmd_extract(o) -> int:
             f"--sigma-gauss must be one of {SIGMA_GAUSS_CHOICES}, got {o.sigma_gauss}")
     out_dir = _out_dir(o)
 
-    datasets = {}
-    for split in SPLITS:
-        try:
-            datasets[split] = load_dataset(o.dataset, split)
-        except NotFoundError:
-            continue  # split absent from the archive
-    if "train" not in datasets:
-        raise ParameterError(f"dataset {o.dataset} has no train split")
-    # degrees and the grade box come from the train split; other splits must match
-    n_dims = datasets["train"].volumes[0].n
-    for split, ds in datasets.items():
-        if ds.volumes[0].n != n_dims:
-            raise ShapeError(
-                f"{split} split holds {ds.volumes[0].n}D volumes, train split {n_dims}D"
-            )
-
-    fields = {
-        split: [compute_glog(v, o.sigma_gauss, o.sigma_log) for v in ds.volumes]
-        for split, ds in datasets.items()
-    }
+    glog = functools.partial(compute_glog, sigma_gauss=o.sigma_gauss, sigma_log=o.sigma_log)
+    rgb_to_gray, n_dims, box = _check_splits(o.dataset, glog)
     cfg = MpiConfig(
-        box=vectorize.compute_global_box(fields["train"]),
+        box=box,
         resolution=(o.resolution, o.resolution),
         bandwidth=o.bandwidth,
         weight_power=o.weight_power,
     )
     grid = make_line_grid(cfg.box, o.num_lines)
-    degrees = tuple(range(n_dims))  # build_features' default, recorded below
+    degrees = tuple(range(n_dims["train"]))  # build_features' default, recorded below
+    feature_dim = len(degrees) * o.resolution * o.resolution
 
     extract_one = functools.partial(_extract_one, grid, cfg)
-    timings = []
-    for split, ds in datasets.items():
-        # a pool forks all its workers at once, so never more than there is work or cores for
-        workers = min(threads, len(fields[split]), os.cpu_count() or 1)
-        if workers > 1:
-            with ProcessPoolExecutor(workers) as pool:
-                results = list(pool.map(extract_one, fields[split]))
-        else:
-            results = [extract_one(f) for f in fields[split]]
-        feats = [r[0] for r in results]
-        timings.extend(r[1] for r in results)
-        _atomic_write(
-            out_dir / f"features_{split}.csv",
-            vectorize.features_to_csv(feats, ds.labels),
-        )
-        tmp = out_dir / f"features_{split}.bin.tmp"
-        vectorize.write_feature_bin(tmp, feats, ds.labels)
-        os.replace(tmp, out_dir / f"features_{split}.bin")
+    timings, clipped = [], {}
+    for split in n_dims:  # read again, so only one split's images are held at a time
+        seconds, boxes = _extract_split(out_dir, split, read_split(o.dataset, split),
+                                        extract_one, threads, 1 + feature_dim, glog)
+        timings += seconds
+        clipped[split] = _clip_report(boxes, cfg.box)
 
     timing = {
         "samples": len(timings),
         "mean_seconds": float(np.mean(timings)),
         "p95_seconds": float(np.quantile(timings, 0.95)),
-        "clipped": {split: _clip_report([f.box for f in fs], cfg.box)
-                    for split, fs in fields.items()},
+        "clipped": clipped,
         "note": "wall clock on this machine; reference timings depend on hardware",
     }
     _write_json(out_dir / "timing.json", timing)
@@ -252,9 +274,9 @@ def cmd_extract(o) -> int:
                                              "bandwidth", "weight_power", "resolution")},
             "box": list(cfg.box),
             "degrees": list(degrees),
-            "feature_dim": len(degrees) * o.resolution * o.resolution,
+            "feature_dim": feature_dim,
             "seed": o.seed,
-            "rgb_to_gray": {split: ds.rgb_to_gray for split, ds in datasets.items()},
+            "rgb_to_gray": rgb_to_gray,
         },
     )
     print(

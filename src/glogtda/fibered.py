@@ -50,7 +50,7 @@ class LineGrid:
     box: Box
 
     def __post_init__(self):
-        offs = np.ascontiguousarray(self.offsets, dtype=np.float64)
+        offs = np.array(self.offsets, dtype=np.float64, order="C")  # a private copy
         offs.setflags(write=False)
         object.__setattr__(self, "offsets", offs)
 

@@ -108,8 +108,16 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return probs[0] if single else probs
 
 
-def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over the batch and gradients for every parameter."""
+def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray, out=None):
+    """Mean cross-entropy over the batch and gradients for every parameter.
+
+    The gradients are written into out, a (weights, biases) pair of array
+    sequences shaped like the model's, which are then the ones returned;
+    they are allocated when out is None.
+    """
+    if out is None:
+        out = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
+    grads_w, grads_b = out
     acts = [np.asarray(x, dtype=np.float64)]
     a = acts[0]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
@@ -123,14 +131,13 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
     delta = probs.copy()
     delta[np.arange(n), y] -= 1.0
     delta /= n
-    grads_w, grads_b = [], []
     for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w.append(delta.T @ acts[layer])
-        grads_b.append(delta.sum(axis=0))
+        np.matmul(delta.T, acts[layer], out=grads_w[layer])
+        delta.sum(axis=0, out=grads_b[layer])
         if layer > 0:
             # a ReLU output is positive exactly where its input was
             delta = (delta @ model.weights[layer]) * (acts[layer] > 0.0)
-    return loss, tuple(reversed(grads_w)), tuple(reversed(grads_b))
+    return loss, tuple(grads_w), tuple(grads_b)
 
 
 @dataclass
@@ -170,16 +177,19 @@ def train(
     params = (*model.weights, *model.biases)
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
+    grads = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
     # the update runs elementwise over flat chunks, every intermediate in one
     # of two scratch buffers: the same ops in the same order as the textbook
     # expression, so the result is bit-identical, without per-step temporaries
-    flat = [(p.reshape(-1), mp.reshape(-1), vp.reshape(-1)) for p, mp, vp in zip(params, m, v)]
+    flat = [tuple(a.reshape(-1) for a in arrays)
+            for arrays in zip(params, m, v, (*grads[0], *grads[1]))]
     scratch_a = np.empty(_ADAM_CHUNK)
     scratch_b = np.empty(_ADAM_CHUNK)
     step = 0
 
     best_auc = -np.inf
-    best_model = model.copy()
+    best_model = model.copy()  # overwritten in place by every snapshot
+    best_params = (*best_model.weights, *best_model.biases)
     stale = 0
     history = TrainHistory([])
     for epoch in range(1, cfg.epochs + 1):
@@ -188,15 +198,14 @@ def train(
         losses, weights_of = [], []
         for start in range(0, len(perm), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            loss, gw, gb = loss_and_grads(model, train_x[idx], train_y[idx])
+            loss, _, _ = loss_and_grads(model, train_x[idx], train_y[idx], out=grads)
             losses.append(loss)
             weights_of.append(len(idx))
             step += 1
             bc1 = 1.0 - ADAM_BETA1**step
             bc2 = 1.0 - ADAM_BETA2**step
             # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), after the moment updates
-            for (p, mp, vp), g in zip(flat, (*gw, *gb)):
-                g = g.reshape(-1)
+            for p, mp, vp, g in flat:
                 for lo in range(0, p.size, _ADAM_CHUNK):
                     hi = min(lo + _ADAM_CHUNK, p.size)
                     P, M, V, G = p[lo:hi], mp[lo:hi], vp[lo:hi], g[lo:hi]
@@ -220,7 +229,8 @@ def train(
         history.rows.append((epoch, train_loss, val_auc))
         if val_auc >= best_auc:
             # ties keep the more-trained model; only strict gains reset patience
-            best_model = model.copy()
+            for dst, src in zip(best_params, params):
+                np.copyto(dst, src)
         history.epoch_seconds.append(time.perf_counter() - t0)
         if val_auc > best_auc:
             best_auc = val_auc

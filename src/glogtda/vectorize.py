@@ -19,6 +19,7 @@ concatenates their images in ascending degree order, pixels row-major.
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass
 
@@ -61,7 +62,7 @@ class FeatureVector:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64, order="C")  # a private copy
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -196,7 +197,7 @@ def build_features(
 # --- feature persistence (CSV and binary) -----------------------------------
 
 
-def _feature_table(features: list[FeatureVector], labels) -> np.ndarray:
+def feature_table(features: list[FeatureVector], labels) -> np.ndarray:
     """The (N, 1+D) rows both writers store, label first; ParameterError
     unless read_feature_bin would accept them back."""
     labels = np.asarray(labels).reshape(-1)
@@ -216,8 +217,13 @@ def _feature_table(features: list[FeatureVector], labels) -> np.ndarray:
 def features_to_csv(features: list[FeatureVector], labels) -> str:
     """One row per sample: label first (exact integer text), then the values."""
     rows = [",".join([str(int(row[0])), *map(repr, row[1:].tolist())])
-            for row in _feature_table(features, labels)]
+            for row in feature_table(features, labels)]
     return "\n".join(rows) + "\n"
+
+
+def glf1_header(count: int, width: int) -> bytes:
+    """GLF1's 12 bytes: magic, u32 row count, u32 row width (label included)."""
+    return MAGIC_FEATURES + struct.pack("<II", count, width)
 
 
 def write_feature_bin(path, features: list[FeatureVector], labels) -> None:
@@ -226,31 +232,39 @@ def write_feature_bin(path, features: list[FeatureVector], labels) -> None:
     Rows mirror the CSV layout (label first, then features) so the file is
     self-contained for reload.
     """
-    table = _feature_table(features, labels)
+    table = feature_table(features, labels)
     with open(path, "wb") as fh:
-        fh.write(MAGIC_FEATURES)
-        fh.write(struct.pack("<II", *table.shape))
+        fh.write(glf1_header(*table.shape))
         fh.write(table.tobytes(order="C"))
 
 
 def read_feature_bin(path) -> tuple[np.ndarray, np.ndarray]:
-    """Load a GLF1 feature table -> (features (N, D), integer labels (N,))."""
+    """Load a GLF1 feature table -> (features (N, D), integer labels (N,)).
+
+    The features are a read-only view into the one array the file is read
+    into, not a copy.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != MAGIC_FEATURES:
-        raise FormatError("bad feature file magic")
-    if len(data) < 12:
-        raise LengthError(f"feature file is {len(data)} bytes, shorter than its header")
-    count, dim = struct.unpack_from("<II", data, 4)
-    if dim < 1:
-        raise FormatError("feature rows have width 0, not even a label")
-    expected = 12 + count * dim * 8
-    if len(data) != expected:
-        raise LengthError(f"feature file is {len(data)} bytes, expected {expected}")
-    matrix = np.frombuffer(data, dtype="<f8", offset=12).reshape(count, dim)
+        head = fh.read(12)
+        if head[:4] != MAGIC_FEATURES:
+            raise FormatError("bad feature file magic")
+        if len(head) < 12:
+            raise LengthError(f"feature file is {len(head)} bytes, shorter than its header")
+        count, dim = struct.unpack_from("<II", head, 4)
+        if dim < 1:
+            raise FormatError("feature rows have width 0, not even a label")
+        size = os.fstat(fh.fileno()).st_size
+        expected = 12 + count * dim * 8
+        if size != expected:
+            raise LengthError(f"feature file is {size} bytes, expected {expected}")
+        matrix = np.fromfile(fh, dtype="<f8", count=count * dim)
+    if len(matrix) != count * dim:  # the file shrank after its size was read
+        raise LengthError(f"feature file ended after {12 + matrix.nbytes} bytes, expected {expected}")
+    matrix.setflags(write=False)  # on the owner, so no view of it can be made writable
+    matrix = matrix.reshape(count, dim)
     labels = matrix[:, 0]
     if not is_label(labels).all():
         raise FormatError(f"feature labels must each be {LABEL_RULE}")
     if not np.isfinite(matrix[:, 1:]).all():
         raise FormatError("feature values must be finite")
-    return matrix[:, 1:].copy(), labels.astype(np.int64)
+    return matrix[:, 1:], labels.astype(np.int64)

@@ -4,6 +4,11 @@ NPY headers are read with numpy.lib.format, but the accepted set
 is deliberately narrow: C-order u8/f32/f64 only, versions 1.0 and 2.0.
 Anything else errors loudly instead of guessing. NPZ archives are plain ZIP
 containers; only the stored and deflate methods are accepted.
+
+A split is read as one stack in its stored dtype (read_split), the payload
+decompressed straight into the array, and turned into normalized grayscale
+Volumes CHUNK samples at a time (to_volumes), so no float64 copy of a whole
+colour stack is ever made.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ _HEADER_READERS = {
 # ITU-R BT.601 luminance weights, fixed for determinism
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 LABEL_RULE = "an integer in [0, 2**53)"  # is_label's rule, as errors state it
+
+CHUNK = 64  # samples converted to Volumes (and extracted, by the CLI) at a time
+_READ_BYTES = 1 << 20  # NPY payload bytes read per call
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,12 @@ def read_npy(data: bytes) -> np.ndarray:
     Only u8/f32/f64, fortran_order=False. The payload must match the header's
     shape exactly; leftovers or truncation raise LengthError.
     """
-    fp = io.BytesIO(data)
+    return _read_npy(io.BytesIO(data), len(data))
+
+
+def _read_npy(fp, size: int) -> np.ndarray:
+    """read_npy of the size-byte stream fp, its payload read into the array
+    a megabyte at a time."""
     try:
         version = npy_format.read_magic(fp)
         if version not in _HEADER_READERS:
@@ -126,16 +139,24 @@ def read_npy(data: bytes) -> np.ndarray:
     if any(d < 0 for d in shape):
         raise FormatError(f"bad NPY shape {shape!r}")
     expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    payload = data[fp.tell():]
-    if len(payload) != expected:
-        raise LengthError(f"payload is {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    if size - fp.tell() != expected:  # checked before the header's shape is allocated
+        raise LengthError(f"payload is {size - fp.tell()} bytes, expected {expected}")
+    arr = np.empty(shape, dtype)
+    raw = arr.reshape(-1).view(np.uint8)
+    got = 0
+    while got < expected:
+        n = fp.readinto(raw[got : got + _READ_BYTES])
+        if not n:
+            raise LengthError(f"payload ended after {got} bytes, expected {expected}")
+        got += n
+    return arr
 
 
-def read_npz(data: bytes, entry_name: str) -> np.ndarray:
-    """Extract ``entry_name`` (without the .npy suffix) from an NPZ archive."""
+def read_npz(source, entry_name: str) -> np.ndarray:
+    """Extract ``entry_name`` (without the .npy suffix) from an NPZ archive,
+    given as bytes or as an open binary file."""
     try:
-        zf = zipfile.ZipFile(io.BytesIO(data))
+        zf = zipfile.ZipFile(io.BytesIO(source) if isinstance(source, bytes) else source)
     except zipfile.BadZipFile as exc:
         raise FormatError(f"not a ZIP archive: {exc}") from exc
     member = entry_name + ".npy"
@@ -149,10 +170,10 @@ def read_npz(data: bytes, entry_name: str) -> np.ndarray:
                 f"compression method {info.compress_type} not supported"
             )
         try:
-            payload = zf.read(info)
-        except (zipfile.BadZipFile, zlib.error) as exc:
+            with zf.open(info) as fp:
+                return _read_npy(fp, info.file_size)
+        except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
             raise FormatError(f"corrupt archive entry {entry_name!r}: {exc}") from exc
-    return read_npy(payload)
 
 
 def grayscale_convert(rgb: np.ndarray) -> np.ndarray:
@@ -199,23 +220,44 @@ def _squeeze_labels(labels: np.ndarray, entry: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def read_split(path, split: str) -> tuple[np.ndarray, np.ndarray, bool]:
+    """One split of an NPZ dataset file: its image stack in the stored dtype,
+    its integer labels, and whether a trailing colour axis is to be collapsed.
+
+    Expects entries ``{split}_images`` and ``{split}_labels``. Labels, the
+    stack's rank and the sample count are checked here; pixel values are
+    checked by to_volumes.
+    """
+    with open(path, "rb") as fh:
+        images = read_npz(fh, f"{split}_images")
+        entry = f"{split}_labels"
+        labels = _squeeze_labels(read_npz(fh, entry), entry)
+    # (N, H, W, 3) color stack; 3D volume stacks are (N, D, H, W) with W != 3
+    rgb_to_gray = images.ndim == 4 and images.shape[-1] == 3
+    if images.ndim - rgb_to_gray not in (3, 4):
+        raise ShapeError(f"image stack must be (N, ...2D/3D), got shape {images.shape}")
+    if len(images) == 0 or len(images) != len(labels):
+        raise ParameterError(
+            f"need equally many volumes and labels, nonzero; "
+            f"got {len(images)} volumes, {len(labels)} labels"
+        )
+    return images, labels, rgb_to_gray
+
+
+def to_volumes(images: np.ndarray, rgb_to_gray: bool) -> list[Volume]:
+    """Normalized grayscale Volumes of some samples of a read_split stack."""
+    if rgb_to_gray:
+        images = grayscale_convert(images)
+    return [normalize(Volume(img)) for img in images.astype(np.float64)]
+
+
 def load_dataset(path, split: str) -> Dataset:
     """Load one split (``train``/``val``/``test``) from an NPZ dataset file.
 
-    Expects entries ``{split}_images`` and ``{split}_labels``. Color images
-    (trailing axis 3) are converted to grayscale; all intensities are then
-    normalized to [0, 1].
+    Color images (trailing axis 3) are converted to grayscale; all
+    intensities are then normalized to [0, 1].
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    images = read_npz(data, f"{split}_images")
-    entry = f"{split}_labels"
-    labels = _squeeze_labels(read_npz(data, entry), entry)
-    # (N, H, W, 3) color stack; 3D volume stacks are (N, D, H, W) with W != 3
-    rgb_to_gray = images.ndim == 4 and images.shape[-1] == 3
-    if rgb_to_gray:
-        images = grayscale_convert(images)
-    if images.ndim not in (3, 4):
-        raise ShapeError(f"image stack must be (N, ...2D/3D), got shape {images.shape}")
-    volumes = [normalize(Volume(img)) for img in images.astype(np.float64)]
+    images, labels, rgb_to_gray = read_split(path, split)
+    volumes = [v for lo in range(0, len(images), CHUNK)
+               for v in to_volumes(images[lo : lo + CHUNK], rgb_to_gray)]
     return Dataset(volumes=volumes, labels=labels, split=split, rgb_to_gray=rgb_to_gray)

@@ -1,12 +1,20 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from glogtda import cli
+import glogtda
+from glogtda import cli, vectorize
+from glogtda.bifiltration import compute_glog
 from glogtda.cli import main
+from glogtda.fibered import make_line_grid
 from glogtda.vectorize import read_feature_bin
+from glogtda.volume_io import CHUNK, load_dataset
 
 from synthdata import disk_annulus_images, write_split_npz
 from test_vectorize import write_glf1
@@ -201,6 +209,65 @@ def test_empty_dataset_is_parameter_error(tmp_path):
     np.savez(path, train_images=np.zeros((0, 8, 8), dtype=np.uint8),
              train_labels=np.zeros((0, 1), dtype=np.uint8))
     assert run(["extract", "--dataset", path, "--out", tmp_path / "o"]) == 2
+
+
+def test_chunked_extraction_equals_the_whole_split_at_once(tmp_path):
+    # splits of two full chunks and a partial one, and of less than a chunk
+    images, labels = disk_annulus_images(2 * CHUNK + 3 + 7 + 5, size=10, seed=12)
+    path = write_split_npz(tmp_path / "chunks.npz", images, labels, split_sizes=(2 * CHUNK + 3, 7))
+    out = tmp_path / "o"
+    assert run(["extract", "--dataset", path, "--out", out, "--num-lines", "4",
+                "--resolution", "6", "--threads", "2"]) == 0
+    fields = {split: [compute_glog(v, 0.5, 1.0) for v in load_dataset(path, split).volumes]
+              for split in ("train", "val", "test")}
+    cfg = vectorize.MpiConfig(vectorize.compute_global_box(fields["train"]), resolution=(6, 6))
+    grid = make_line_grid(cfg.box, 4)
+    for split, fs in fields.items():
+        feats = vectorize.build_features(fs, cfg, grid)
+        labs = load_dataset(path, split).labels
+        assert (out / f"features_{split}.csv").read_text() == vectorize.features_to_csv(feats, labs)
+        vectorize.write_feature_bin(tmp_path / "whole.bin", feats, labs)
+        assert (out / f"features_{split}.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [300.0, np.nan], ids=["out-of-range", "nan"])
+def test_a_bad_value_in_a_late_chunk_writes_no_output(tmp_path, capsys, bad):
+    # every sample of every split is checked before the first file is started
+    rng = np.random.default_rng(13)
+    test_images = rng.uniform(0, 255, (CHUNK + 4, 6, 6))
+    test_images[CHUNK + 2, 3, 3] = bad
+    path = tmp_path / "late.npz"
+    np.savez(path, train_images=rng.uniform(0, 255, (6, 6, 6)), train_labels=np.zeros((6, 1)),
+             test_images=test_images, test_labels=np.zeros((CHUNK + 4, 1)))
+    out = tmp_path / "o"
+    assert run(["extract", "--dataset", path, "--out", out, "--num-lines", "2",
+                "--resolution", "4"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def extract_peak_rss_kb(tmp_path, n):
+    images, labels = disk_annulus_images(n, size=28, seed=1)
+    path = write_split_npz(tmp_path / f"disk{n}.npz", images, labels)
+    script = ("import resource, sys\n"
+              "from glogtda.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+              "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(glogtda.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "extract", "--dataset", str(path), "--out",
+         str(tmp_path / f"out{n}"), "--num-lines", "2", "--threads", "1"],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
+def test_extract_peak_memory_does_not_grow_with_the_split(tmp_path):
+    # at the default 5000-wide rows; it grew by about 100 KB per image when
+    # every split's fields, features and CSV text were held at once
+    small, large = (extract_peak_rss_kb(tmp_path, n) for n in (500, 4000))
+    assert large < 1.2 * small, (small, large)
 
 
 def test_mixed_2d_3d_splits_rejected(tmp_path, capsys):

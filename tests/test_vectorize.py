@@ -10,6 +10,7 @@ from glogtda.cubical_persistence import Bar
 from glogtda.errors import FormatError, LengthError, ParameterError, ShapeError
 from glogtda.fibered import (
     FiberedBarcode,
+    LineGrid,
     clip_bars,
     compute_fibered_barcode,
     make_line_grid,
@@ -378,6 +379,35 @@ def test_feature_bin_round_trip(tmp_path):
     mat, labs = read_feature_bin(path)
     assert labs.tolist() == labels
     np.testing.assert_array_equal(mat, np.vstack([f.values for f in feats]))
+
+
+def test_feature_bin_features_are_a_read_only_view(tmp_path):
+    rng = np.random.default_rng(4)
+    feats = [FeatureVector(rng.random(6)) for _ in range(3)]
+    path = tmp_path / "f.bin"
+    write_feature_bin(path, feats, [1, 0, 1])
+    mat, labs = read_feature_bin(path)
+    assert not mat.flags.writeable
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        mat.setflags(write=True)  # its base, holding the labels too, is read-only
+    write_feature_bin(path, [FeatureVector(row) for row in mat], labs)  # and it round-trips
+    again, labs_again = read_feature_bin(path)
+    assert again.tobytes() == np.vstack([f.values for f in feats]).tobytes()
+    assert labs_again.tolist() == [1, 0, 1]
+
+
+def test_line_grid_and_feature_vector_keep_private_copies():
+    o, v = np.linspace(-1.0, 1.0, 5), np.arange(6.0)
+    grid = LineGrid(o, 0.1, (0.0, 0.0, 1.0, 1.0))
+    fv = FeatureVector(v)
+    # the caller's arrays stay writable, and what they hold is not shared
+    assert o.flags.writeable and v.flags.writeable
+    assert not np.shares_memory(grid.offsets, o) and not np.shares_memory(fv.values, v)
+    o[0], v[0] = 9.0, 9.0
+    assert grid.offsets[0] == -1.0 and fv.values[0] == 0.0
+    assert not grid.offsets.flags.writeable and not fv.values.flags.writeable
 
 
 def write_glf1(path, rows):

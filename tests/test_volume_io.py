@@ -15,6 +15,7 @@ from glogtda.errors import (
     UnsupportedFeatureError,
 )
 from glogtda.volume_io import (
+    CHUNK,
     Dataset,
     Volume,
     grayscale_convert,
@@ -22,6 +23,7 @@ from glogtda.volume_io import (
     normalize,
     read_npy,
     read_npz,
+    read_split,
 )
 
 
@@ -274,6 +276,22 @@ def test_load_dataset_grayscale_and_labels(tmp_path):
     assert 0.0 <= ds.volumes[0].data.min() and ds.volumes[0].data.max() <= 1.0
     expected = grayscale_convert(images[0].astype(float)) / 255.0
     np.testing.assert_allclose(ds.volumes[0].data, expected, rtol=1e-12)
+
+
+def test_split_is_read_in_its_stored_dtype_and_converted_chunk_by_chunk(tmp_path):
+    rng = np.random.default_rng(9)
+    images = rng.integers(0, 256, size=(2 * CHUNK + 5, 5, 6, 3)).astype(np.uint8)
+    labels = (np.arange(len(images)) % 3).reshape(-1, 1).astype(np.uint8)
+    path = tmp_path / "rgb.npz"
+    for saver in (np.savez, np.savez_compressed):
+        saver(path, train_images=images, train_labels=labels)
+        stack, labs, rgb_to_gray = read_split(path, "train")
+        assert stack.dtype == np.uint8 and stack.tobytes() == images.tobytes() and rgb_to_gray
+        assert labs.tolist() == labels.reshape(-1).tolist()
+    ds = load_dataset(path, "train")
+    assert len(ds) == len(images) and ds.rgb_to_gray
+    for v, img in zip(ds.volumes, images):  # each image alone, as one whole-stack call gave
+        assert v.data.tobytes() == (grayscale_convert(img.astype(float)) / 255.0).tobytes()
 
 
 @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -1.0, 2.0**53],
