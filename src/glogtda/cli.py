@@ -101,11 +101,10 @@ OPTIONS = {
 }
 
 
-def _atomic_write(path: Path, data) -> None:
+def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as fh:
-        fh.write(data)
+    with open(tmp, "w") as fh:
+        fh.write(text)
     os.replace(tmp, path)
 
 
@@ -178,47 +177,48 @@ def _clip_report(boxes, box) -> dict:
 def _extract_split(out_dir: Path, split: str, stack, extract_one, threads: int,
                    width: int, glog) -> tuple[list[float], np.ndarray]:
     """Stream one split, CHUNK samples at a time, through one pool into
-    features_{split}.csv and .bin, each renamed into place when complete.
-    Returns each sample's extraction seconds and grade box."""
+    features_{split}.bin, renamed into place when complete. Returns each
+    sample's extraction seconds and grade box."""
     images, labels, rgb_to_gray = stack
     seconds, boxes = [], np.empty((len(images), 4))
-    csv_path, bin_path = (out_dir / f"features_{split}.{ext}" for ext in ("csv", "bin"))
-    csv_tmp, bin_tmp = (p.with_name(p.name + ".tmp") for p in (csv_path, bin_path))
+    path = out_dir / f"features_{split}.bin"
+    tmp = path.with_name(path.name + ".tmp")
     # a pool forks all its workers at once, so never more than there is work or cores for
     workers = min(threads, len(images), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
-    with pool or contextlib.nullcontext(), open(csv_tmp, "w") as csv, open(bin_tmp, "wb") as glf1:
+    with pool or contextlib.nullcontext(), open(tmp, "wb") as glf1:
         glf1.write(vectorize.glf1_header(len(images), width))
         for lo in range(0, len(images), CHUNK):
             fields = [glog(v) for v in to_volumes(images[lo : lo + CHUNK], rgb_to_gray)]
             results = list((pool.map if pool else map)(extract_one, fields))
-            feats, labs = [r[0] for r in results], labels[lo : lo + CHUNK]
-            csv.write(vectorize.features_to_csv(feats, labs))
-            glf1.write(vectorize.feature_table(feats, labs).tobytes())
+            glf1.write(vectorize.feature_table([r[0] for r in results],
+                                               labels[lo : lo + CHUNK]).tobytes())
             seconds += [r[1] for r in results]
             boxes[lo : lo + len(fields)] = [f.box for f in fields]
-    os.replace(csv_tmp, csv_path)
-    os.replace(bin_tmp, bin_path)
+    os.replace(tmp, path)
     return seconds, boxes
 
 
 def _check_splits(path, glog) -> tuple[dict, dict, tuple]:
-    """Every split present, converted a chunk at a time so that every input
-    check runs before any output is written: each split's rgb_to_gray and
-    volume rank, and the train split's grade box from one glog pass."""
+    """Every split present with samples, converted a chunk at a time so that
+    every input check runs before any output is written: each split's
+    rgb_to_gray and volume rank, and the train split's grade box from one
+    glog pass. An empty split is skipped like an absent one."""
     rgb_to_gray, n_dims, train_boxes = {}, {}, []
     for split in SPLITS:
         try:
-            images, _, rgb_to_gray[split] = read_split(path, split)
+            images, _, rgb = read_split(path, split)
         except NotFoundError:
             continue  # split absent from the archive
-        n_dims[split] = images.ndim - 1 - rgb_to_gray[split]
+        if len(images) == 0:
+            continue  # an empty split, skipped likewise
+        rgb_to_gray[split], n_dims[split] = rgb, images.ndim - 1 - rgb
         for lo in range(0, len(images), CHUNK):
-            volumes = to_volumes(images[lo : lo + CHUNK], rgb_to_gray[split])
+            volumes = to_volumes(images[lo : lo + CHUNK], rgb)
             if split == "train":
                 train_boxes.append(union_box(*(glog(v).box for v in volumes)))
     if "train" not in n_dims:
-        raise ParameterError(f"dataset {path} has no train split")
+        raise ParameterError(f"dataset {path} has an empty or absent train split")
     # degrees and the grade box come from the train split; other splits must match
     for split, n in n_dims.items():
         if n != n_dims["train"]:
@@ -364,8 +364,7 @@ def cmd_stability(o) -> int:
         print(rep.table())
         reports.append(json.loads(rep.to_json()))
         all_passed &= rep.passed
-    _atomic_write(out_dir / "stability_report.json",
-                  json.dumps(reports, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "stability_report.json", reports)
     return 0 if all_passed else 1
 
 

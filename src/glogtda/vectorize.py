@@ -227,11 +227,8 @@ def glf1_header(count: int, width: int) -> bytes:
 
 
 def write_feature_bin(path, features: list[FeatureVector], labels) -> None:
-    """Binary feature table: magic GLF1, u32 count, u32 row width, float64 rows.
-
-    Rows mirror the CSV layout (label first, then features) so the file is
-    self-contained for reload.
-    """
+    """Binary feature table: magic GLF1, u32 count, u32 row width, float64 rows
+    of feature_table (label first, then features), self-contained for reload."""
     table = feature_table(features, labels)
     with open(path, "wb") as fh:
         fh.write(glf1_header(*table.shape))

@@ -14,6 +14,7 @@ colour stack is ever made.
 from __future__ import annotations
 
 import io
+import math
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -138,7 +139,7 @@ def _read_npy(fp, size: int) -> np.ndarray:
         raise UnsupportedFeatureError("fortran_order=True not supported")
     if any(d < 0 for d in shape):
         raise FormatError(f"bad NPY shape {shape!r}")
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    expected = math.prod(shape) * dtype.itemsize  # exact: an int64 product can wrap
     if size - fp.tell() != expected:  # checked before the header's shape is allocated
         raise LengthError(f"payload is {size - fp.tell()} bytes, expected {expected}")
     arr = np.empty(shape, dtype)
@@ -225,8 +226,8 @@ def read_split(path, split: str) -> tuple[np.ndarray, np.ndarray, bool]:
     its integer labels, and whether a trailing colour axis is to be collapsed.
 
     Expects entries ``{split}_images`` and ``{split}_labels``. Labels, the
-    stack's rank and the sample count are checked here; pixel values are
-    checked by to_volumes.
+    stack's rank and the sample counts (equal, possibly zero) are checked
+    here; pixel values are checked by to_volumes.
     """
     with open(path, "rb") as fh:
         images = read_npz(fh, f"{split}_images")
@@ -236,11 +237,9 @@ def read_split(path, split: str) -> tuple[np.ndarray, np.ndarray, bool]:
     rgb_to_gray = images.ndim == 4 and images.shape[-1] == 3
     if images.ndim - rgb_to_gray not in (3, 4):
         raise ShapeError(f"image stack must be (N, ...2D/3D), got shape {images.shape}")
-    if len(images) == 0 or len(images) != len(labels):
-        raise ParameterError(
-            f"need equally many volumes and labels, nonzero; "
-            f"got {len(images)} volumes, {len(labels)} labels"
-        )
+    if len(images) != len(labels):
+        raise ParameterError(f"need equally many volumes and labels; got {len(images)} "
+                             f"volumes, {len(labels)} labels")
     return images, labels, rgb_to_gray
 
 

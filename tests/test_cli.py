@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from glogtda.volume_io import CHUNK, load_dataset
 
 from synthdata import disk_annulus_images, write_split_npz
 from test_vectorize import write_glf1
-from test_volume_io import member_payload_offset
+from test_volume_io import member_payload_offset, npy_header_only
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +46,7 @@ def test_extract_train_eval_roundtrip(tmp_path, toy_dataset, capsys):
     out = tmp_path / "run"
     assert run(extract_args(toy_dataset, out)) == 0
     for split in ("train", "val", "test"):
-        assert (out / f"features_{split}.csv").exists()
+        assert not (out / f"features_{split}.csv").exists()  # GLF1 is the one feature format
         assert (out / f"features_{split}.bin").exists()
     timing = json.loads((out / "timing.json").read_text())
     assert timing["samples"] == 30 and timing["mean_seconds"] > 0
@@ -81,7 +82,7 @@ def test_extract_deterministic_rerun(tmp_path, toy_dataset):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(extract_args(toy_dataset, out1)) == 0
     assert run(extract_args(toy_dataset, out2)) == 0
-    for name in ("features_train.bin", "features_val.csv", "features_test.bin"):
+    for name in ("features_train.bin", "features_val.bin", "features_test.bin"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -211,6 +212,43 @@ def test_empty_dataset_is_parameter_error(tmp_path):
     assert run(["extract", "--dataset", path, "--out", tmp_path / "o"]) == 2
 
 
+def test_extract_writes_one_feature_file_per_split(tmp_path, toy_dataset):
+    out = tmp_path / "run"
+    assert run(extract_args(toy_dataset, out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "extract_config.json", "features_test.bin", "features_train.bin", "features_val.bin",
+        "timing.json"]
+
+
+def test_empty_split_is_skipped_like_an_absent_one(tmp_path, capsys):
+    images, labels = disk_annulus_images(8, size=10, seed=4)
+    path = write_split_npz(tmp_path / "no_test.npz", images, labels, split_sizes=(5, 3))
+    out = tmp_path / "o"
+    assert run(["extract", "--dataset", path, "--out", out, "--num-lines", "4",
+                "--resolution", "6"]) == 0
+    assert sorted(p.name for p in out.glob("features_*")) == [
+        "features_train.bin", "features_val.bin"]
+    assert json.loads((out / "extract_config.json").read_text())["rgb_to_gray"] == {
+        "train": False, "val": False}
+    assert set(json.loads((out / "timing.json").read_text())["clipped"]) == {"train", "val"}
+
+    labels = labels.reshape(-1, 1).astype(np.uint8)
+    np.savez(path, train_images=images[:0], train_labels=labels[:0],
+             val_images=images[5:], val_labels=labels[5:])
+    capsys.readouterr()
+    assert run(["extract", "--dataset", path, "--out", tmp_path / "o2"]) == 2
+    assert "empty or absent train split" in capsys.readouterr().err
+
+
+def test_npy_shape_past_int64_is_an_error_not_a_traceback(tmp_path, capsys):
+    path = tmp_path / "huge.npz"
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("train_images.npy", npy_header_only((2**32, 2**32)))
+        zf.writestr("train_labels.npy", npy_header_only((0,)))
+    assert run(["extract", "--dataset", path, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("error: payload is 0 bytes")
+
+
 def test_chunked_extraction_equals_the_whole_split_at_once(tmp_path):
     # splits of two full chunks and a partial one, and of less than a chunk
     images, labels = disk_annulus_images(2 * CHUNK + 3 + 7 + 5, size=10, seed=12)
@@ -225,7 +263,10 @@ def test_chunked_extraction_equals_the_whole_split_at_once(tmp_path):
     for split, fs in fields.items():
         feats = vectorize.build_features(fs, cfg, grid)
         labs = load_dataset(path, split).labels
-        assert (out / f"features_{split}.csv").read_text() == vectorize.features_to_csv(feats, labs)
+        # GLF1 keeps every bit of the table, so the CSV text comes back exactly
+        rows, got_labs = read_feature_bin(out / f"features_{split}.bin")
+        got = vectorize.features_to_csv([vectorize.FeatureVector(r) for r in rows], got_labs)
+        assert got == vectorize.features_to_csv(feats, labs)
         vectorize.write_feature_bin(tmp_path / "whole.bin", feats, labs)
         assert (out / f"features_{split}.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
 

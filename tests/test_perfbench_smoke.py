@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -19,12 +21,13 @@ def test_perfbench_smoke_passes():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-4000:]
 
 
-def test_traced_bench_run_matches_the_recorded_references():
+@pytest.mark.parametrize("workload", ["2d-disk-28", "3d-smooth-16"])
+def test_traced_bench_run_matches_the_recorded_references(workload):
     # a traced run checks the exact raw bar counts of every sample, per
     # compute_persistence call, against perfbench/reference/; the smoke
     # workloads above have no recorded references
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "2d-disk-28", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )

@@ -88,6 +88,19 @@ def test_read_npy_truncated_payload():
         read_npy(raw[:-8])
 
 
+def npy_header_only(shape):
+    """A |u1 NPY v1.0 header of the given shape, with no payload."""
+    header = f"{{'descr': '|u1', 'fortran_order': False, 'shape': {shape!r}, }}".encode()
+    header += b" " * ((64 - (10 + len(header) + 1) % 64) % 64) + b"\n"
+    return b"\x93NUMPY" + bytes((1, 0)) + struct.pack("<H", len(header)) + header
+
+
+def test_read_npy_shape_product_past_int64_is_length_error():
+    # 2**32 * 2**32 wraps to 0 in int64, which an empty payload would match
+    with pytest.raises(LengthError, match=str(2**64)):
+        read_npy(npy_header_only((2**32, 2**32)))
+
+
 def test_read_npy_v2_header():
     ref = npy_bytes(np.arange(6, dtype=np.uint8).reshape(2, 3))
     hlen = struct.unpack_from("<H", ref, 8)[0]
@@ -292,6 +305,20 @@ def test_split_is_read_in_its_stored_dtype_and_converted_chunk_by_chunk(tmp_path
     assert len(ds) == len(images) and ds.rgb_to_gray
     for v, img in zip(ds.volumes, images):  # each image alone, as one whole-stack call gave
         assert v.data.tobytes() == (grayscale_convert(img.astype(float)) / 255.0).tobytes()
+
+
+def test_empty_split_is_read_but_is_no_dataset(tmp_path):
+    path = tmp_path / "empty.npz"
+    np.savez(path, test_images=np.zeros((0, 5, 5), dtype=np.uint8),
+             test_labels=np.zeros((0, 1), dtype=np.uint8))
+    stack, labs, rgb_to_gray = read_split(path, "test")
+    assert stack.shape == (0, 5, 5) and len(labs) == 0 and not rgb_to_gray
+    with pytest.raises(ParameterError, match="got 0 volumes, 0 labels"):
+        load_dataset(path, "test")
+    np.savez(path, test_images=np.zeros((0, 5, 5), dtype=np.uint8),
+             test_labels=np.zeros((1, 1), dtype=np.uint8))
+    with pytest.raises(ParameterError, match="got 0 volumes, 1 labels"):
+        read_split(path, "test")
 
 
 @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -1.0, 2.0**53],
