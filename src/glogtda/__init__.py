@@ -36,7 +36,6 @@ from .errors import (
     UnsupportedFeatureError,
 )
 from .fibered import (
-    FiberedBarcode,
     LineGrid,
     clip_bars,
     compute_fibered_barcode,

@@ -12,7 +12,8 @@ the line crosses the box; infinite deaths become t_exit + delta (delta is the
 line spacing), so vectorization sees finite mass, and a clipped death lies
 past t_exit exactly when it was infinite. A line's clipped bars are one
 read-only (m, 3) float64 array of (birth, death, degree) rows of every degree,
-in Barcode.table's layout; vectorize.build_features chooses which to draw.
+in Barcode.table's layout; compute_fibered_barcode returns a tuple of one per
+grid line, in offset order, and vectorize.build_features picks what to draw.
 """
 
 from __future__ import annotations
@@ -77,18 +78,6 @@ def make_line_grid(box: Box, num_lines: int) -> LineGrid:
     return LineGrid(offsets, span / (num_lines - 1), box)
 
 
-@dataclass(frozen=True)
-class FiberedBarcode:
-    """One clip_bars array per grid line, assembled in offset order."""
-
-    grid: LineGrid
-    barcodes: tuple[np.ndarray, ...]
-
-    def bars_at(self, line_index: int, degree: int) -> np.ndarray:
-        table = self.barcodes[line_index]
-        return table[table[:, 2] == degree]
-
-
 def clip_bars(bars: np.ndarray, t_enter: float, t_exit: float, delta: float) -> np.ndarray:
     """Clip every (birth, death, degree) row to [t_enter, t_exit].
 
@@ -120,14 +109,13 @@ def line_barcodes(f: BiGradedField, offsets: Iterable[float]) -> Iterator[Barcod
         yield barcode
 
 
-def compute_fibered_barcode(f: BiGradedField, grid: LineGrid) -> FiberedBarcode:
-    """Slice the field along every grid line and collect clipped barcodes of
-    every degree.
+def compute_fibered_barcode(f: BiGradedField, grid: LineGrid) -> tuple[np.ndarray, ...]:
+    """Slice the field along every grid line; one clip_bars table of every
+    degree per line, in the grid's offset order.
 
     Bars are clipped to the grid's box, which need not cover the field's
     grades: a dataset-global grid is applied to unseen samples as is.
     """
     offsets = grid.offsets.tolist()
-    barcodes = tuple(clip_bars(barcode.table, *grid.crossing_interval(offset), grid.delta)
-                     for offset, barcode in zip(offsets, line_barcodes(f, offsets)))
-    return FiberedBarcode(grid, barcodes)
+    return tuple(clip_bars(barcode.table, *grid.crossing_interval(offset), grid.delta)
+                 for offset, barcode in zip(offsets, line_barcodes(f, offsets)))

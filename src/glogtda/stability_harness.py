@@ -274,7 +274,7 @@ def check_decomposition(
         return None, 0
     pair = BiGradedField(g1=g1, g2=g2)
     grid = make_line_grid(pair.box, num_lines)
-    fb = compute_fibered_barcode(pair, grid)
+    lines = compute_fibered_barcode(pair, grid)
     bc1 = compute_persistence(build_complex(g1))
     bc2 = compute_persistence(build_complex(g2))
     checked = 0
@@ -288,7 +288,7 @@ def check_decomposition(
         merged = clip_bars(np.vstack((bc1.table, shifted)), t_enter, t_exit, grid.delta)
         # degree 0 is left out: each single holds the shared background's
         # essential class, which the pair holds once
-        merged, line = (rows[rows[:, 2] >= 1] for rows in (merged, fb.barcodes[li]))
+        merged, line = (rows[rows[:, 2] >= 1] for rows in (merged, lines[li]))
         checked += len(line)
         if not np.array_equal(merged, line):
             return False, checked

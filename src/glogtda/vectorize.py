@@ -10,10 +10,11 @@ summed over all bars of all lines, where dist is Euclidean point-to-segment
 distance (a bar adds nothing past eight bandwidths), persistence is measured in
 line-parameter units and delta/diag normalizes for line density. One image per
 homology degree, drawn by coverage one line at a time from that line's
-(birth, death) rows and its offset b alone: where a pixel lies inside bars'
-spans along the line their weights come from prefix sums, and only bars ending
-near it take an exp each. build_features alone picks the degrees drawn, and
-concatenates their images in ascending degree order, pixels row-major.
+(birth, death) rows of the degree, in compute_fibered_barcode's table for it,
+and its offset b in the grid: where a pixel lies inside bars' spans along the
+line their weights come from prefix sums, and only bars ending near it take an
+exp each. build_features alone picks the degrees drawn, and concatenates their
+images in ascending degree order, pixels row-major.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ import numpy as np
 
 from .bifiltration import BiGradedField, Box, union_box
 from .errors import FormatError, LengthError, ParameterError, ShapeError
-from .fibered import (
-    FiberedBarcode,
-    LineGrid,
-    compute_fibered_barcode,
-    widen_box,
-)
+from .fibered import LineGrid, compute_fibered_barcode, widen_box
 from .volume_io import LABEL_RULE, is_label
 
 MAGIC_FEATURES = b"GLF1"
@@ -138,17 +134,20 @@ def render_segments(
     return img.reshape(cfg.resolution)
 
 
-def render_mpi(fb: FiberedBarcode, degree: int, cfg: MpiConfig) -> np.ndarray:
+def render_mpi(
+    lines: tuple[np.ndarray, ...], degree: int, cfg: MpiConfig, grid: LineGrid
+) -> np.ndarray:
     """Persistence image of one homology degree; one render_segments call per line.
 
-    Bars are drawn as clip_bars left them, clipped to where their line
-    crosses the grid's box; build_features makes that box the config's. A
-    degree with no rows draws an all-zero image.
+    lines is compute_fibered_barcode's tuple for this grid (ValueError if
+    its length is not the grid's). Bars are drawn as clip_bars left them,
+    clipped to where their line crosses the grid's box; build_features makes
+    that box the config's. A degree with no rows draws an all-zero image.
     """
-    density = fb.grid.delta / float(np.hypot(cfg.box[2] - cfg.box[0], cfg.box[3] - cfg.box[1]))
+    density = grid.delta / float(np.hypot(cfg.box[2] - cfg.box[0], cfg.box[3] - cfg.box[1]))
     img = np.zeros(cfg.resolution, dtype=np.float64)
-    for i, offset in enumerate(fb.grid.offsets.tolist()):
-        bars = fb.bars_at(i, degree)[:, :2]
+    for offset, table in zip(grid.offsets.tolist(), lines, strict=True):
+        bars = table[table[:, 2] == degree, :2]
         weights = (bars[:, 1] - bars[:, 0]) ** cfg.weight_power * density
         img += render_segments(bars, offset, weights, cfg)
     return img
@@ -188,8 +187,8 @@ def build_features(
         raise ParameterError(f"degrees must be one or more distinct values in 0..{n - 1}, got {degrees}")
     out = []
     for f in fields:
-        fb = compute_fibered_barcode(f, grid)
-        blocks = [render_mpi(fb, d, cfg).ravel() for d in degrees]
+        lines = compute_fibered_barcode(f, grid)
+        blocks = [render_mpi(lines, d, cfg, grid).ravel() for d in degrees]
         out.append(FeatureVector(np.concatenate(blocks)))
     return out
 

@@ -155,7 +155,8 @@ def _read_npy(fp, size: int) -> np.ndarray:
 
 def read_npz(source, entry_name: str) -> np.ndarray:
     """Extract ``entry_name`` (without the .npy suffix) from an NPZ archive,
-    given as bytes or as an open binary file."""
+    given as bytes or as an open binary file. Errors decoding the entry keep
+    their type and name the entry."""
     try:
         zf = zipfile.ZipFile(io.BytesIO(source) if isinstance(source, bytes) else source)
     except zipfile.BadZipFile as exc:
@@ -168,13 +169,15 @@ def read_npz(source, entry_name: str) -> np.ndarray:
             raise NotFoundError(f"archive has no entry {entry_name!r}") from None
         if info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
             raise UnsupportedFeatureError(
-                f"compression method {info.compress_type} not supported"
+                f"compression method {info.compress_type} not supported in entry {entry_name!r}"
             )
         try:
             with zf.open(info) as fp:
                 return _read_npy(fp, info.file_size)
         except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
             raise FormatError(f"corrupt archive entry {entry_name!r}: {exc}") from exc
+        except (FormatError, UnsupportedFeatureError) as exc:  # LengthError stays one
+            raise type(exc)(f"{exc} in entry {entry_name!r}") from exc
 
 
 def grayscale_convert(rgb: np.ndarray) -> np.ndarray:
@@ -225,14 +228,23 @@ def read_split(path, split: str) -> tuple[np.ndarray, np.ndarray, bool]:
     """One split of an NPZ dataset file: its image stack in the stored dtype,
     its integer labels, and whether a trailing colour axis is to be collapsed.
 
-    Expects entries ``{split}_images`` and ``{split}_labels``. Labels, the
-    stack's rank and the sample counts (equal, possibly zero) are checked
-    here; pixel values are checked by to_volumes.
+    Expects entries ``{split}_images`` and ``{split}_labels``: NotFoundError
+    when both are absent (the split is), FormatError naming the missing one
+    when only one is. Labels, the stack's rank and the sample counts (equal,
+    possibly zero) are checked here; pixel values are checked by to_volumes.
     """
+    names = f"{split}_images", f"{split}_labels"
     with open(path, "rb") as fh:
-        images = read_npz(fh, f"{split}_images")
-        entry = f"{split}_labels"
-        labels = _squeeze_labels(read_npz(fh, entry), entry)
+        try:
+            images = read_npz(fh, names[0])
+        except NotFoundError:
+            read_npz(fh, names[1])  # NotFoundError again when the whole split is absent
+            raise FormatError(f"archive has {names[1]!r} but no {names[0]!r}") from None
+        try:
+            labels = read_npz(fh, names[1])
+        except NotFoundError:
+            raise FormatError(f"archive has {names[0]!r} but no {names[1]!r}") from None
+    labels = _squeeze_labels(labels, names[1])
     # (N, H, W, 3) color stack; 3D volume stacks are (N, D, H, W) with W != 3
     rgb_to_gray = images.ndim == 4 and images.shape[-1] == 3
     if images.ndim - rgb_to_gray not in (3, 4):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from glogtda.fibered import FiberedBarcode
+from glogtda.fibered import LineGrid
 from glogtda.vectorize import MpiConfig
 
 
@@ -55,14 +55,15 @@ def render_segments(
     return img
 
 
-def render_mpi(fb: FiberedBarcode, degree: int, cfg: MpiConfig) -> np.ndarray:
-    """Persistence image of one homology degree of a fibered barcode."""
+def render_mpi(lines, degree: int, cfg: MpiConfig, grid: LineGrid) -> np.ndarray:
+    """Persistence image of one homology degree of a fibered barcode, given as
+    one (birth, death, degree) table per grid line."""
     min1, min2, max1, max2 = cfg.box
     span1, span2 = max1 - min1, max2 - min2
     diag = float(np.hypot(span1, span2))
-    density = fb.grid.delta / diag
+    density = grid.delta / diag
     segments, weights = [], []
-    for offset, bars in zip(fb.grid.offsets.tolist(), fb.barcodes):
+    for offset, bars in zip(grid.offsets.tolist(), lines):
         # clamp to where this line crosses the global box (no-op when the
         # barcode was computed against the same box)
         t_enter = max(min1, min2 - offset)
@@ -71,7 +72,7 @@ def render_mpi(fb: FiberedBarcode, degree: int, cfg: MpiConfig) -> np.ndarray:
             if b_degree != degree:
                 continue
             birth = max(b_birth, t_enter)
-            death = min(b_death, t_exit + fb.grid.delta)
+            death = min(b_death, t_exit + grid.delta)
             if death <= birth:
                 continue
             segments.append(

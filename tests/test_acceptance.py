@@ -236,9 +236,9 @@ def test_criterion_7_mpi_vs_quadrature_oracle():
     worst = 0.0
     for box, birth, death, offset, bw, p in fixtures:
         cfg = MpiConfig(box=box, bandwidth=bw, weight_power=p)
-        fb, off = single_bar_barcode(birth, death, offset, box)
-        got = render_mpi(fb, 0, cfg).sum()
-        want = quadrature_mass(birth, death, off, cfg, fb.grid.delta, factor=10)
+        lines, grid, off = single_bar_barcode(birth, death, offset, box)
+        got = render_mpi(lines, 0, cfg, grid).sum()
+        want = quadrature_mass(birth, death, off, cfg, grid.delta, factor=10)
         worst = max(worst, abs(got - want) / want)
     report(7, worst < 0.02, "MPI mass matches 10x-oversampled quadrature oracle",
            f"worst relative error {worst:.4%}")

@@ -240,6 +240,36 @@ def test_empty_split_is_skipped_like_an_absent_one(tmp_path, capsys):
     assert "empty or absent train split" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("present, missing", [("test_images", "test_labels"),
+                                              ("val_labels", "val_images")])
+def test_split_with_one_of_its_entries_exits_2(tmp_path, capsys, present, missing):
+    # the train and val (or test) splits are whole; the half-present split is
+    # not skipped as absent but refused before any feature file is written
+    images, labels = disk_annulus_images(8, size=10, seed=4)
+    labels = labels.reshape(-1, 1).astype(np.uint8)
+    whole = "val" if present.startswith("test") else "test"
+    arrays = {"train_images": images[:5], "train_labels": labels[:5],
+              f"{whole}_images": images[5:], f"{whole}_labels": labels[5:],
+              present: (images if present.endswith("images") else labels)[5:]}
+    path = tmp_path / "half.npz"
+    np.savez(path, **arrays)
+    out = tmp_path / "o"
+    assert run(["extract", "--dataset", path, "--out", out, "--num-lines", "4",
+                "--resolution", "6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{missing}'" in err
+    assert not list(out.glob("features_*"))
+
+
+def test_undecodable_labels_exit_2_naming_the_entry(tmp_path, capsys):
+    images, labels = disk_annulus_images(8, size=10, seed=4)
+    path = tmp_path / "int64.npz"
+    np.savez(path, train_images=images[:5], train_labels=labels[:5].astype(np.int64))
+    assert run(["extract", "--dataset", path, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'train_labels'" in err
+
+
 def test_npy_shape_past_int64_is_an_error_not_a_traceback(tmp_path, capsys):
     path = tmp_path / "huge.npz"
     with zipfile.ZipFile(path, "w") as zf:

@@ -15,8 +15,14 @@ from glogtda.fibered import (
     LineGrid,
     clip_bars,
     compute_fibered_barcode,
+    line_barcodes,
     make_line_grid,
 )
+
+
+def degree_rows(table, degree):
+    """The (birth, death) rows of one degree of a clip_bars table."""
+    return table[table[:, 2] == degree][:, :2]
 
 
 def test_line_grid_unit_box():
@@ -52,16 +58,32 @@ def test_constant_field_single_bar_every_line():
     c1, c2 = 0.4, 0.7
     f = BiGradedField(g1=np.full((4, 4), c1), g2=np.full((4, 4), c2))
     grid = make_line_grid(f.box, 7)
-    fb = compute_fibered_barcode(f, grid)
+    lines = compute_fibered_barcode(f, grid)
     # the two end lines only touch the widened box: the class is born at or
     # past t_exit + delta there, so the clip leaves it no row
-    assert [len(bars) for bars in fb.barcodes] == [0, 1, 1, 1, 1, 1, 0]
-    for offset, bars in zip(grid.offsets.tolist()[1:-1], fb.barcodes[1:-1]):
+    assert [len(bars) for bars in lines] == [0, 1, 1, 1, 1, 1, 0]
+    for offset, bars in zip(grid.offsets.tolist()[1:-1], lines[1:-1]):
         birth, death, degree = bars[0]
         _, t_exit = grid.crossing_interval(offset)
         assert degree == 0 and death > t_exit  # the clipped essential class
         assert birth == max(c1, c2 - offset)
         assert death == t_exit + grid.delta
+
+
+def test_fibered_barcode_is_one_clipped_table_per_line():
+    rng = np.random.default_rng(13)
+    for dims in ((6, 5), (3, 4, 3)):
+        f = BiGradedField(g1=rng.random(dims), g2=rng.uniform(-0.5, 0.5, dims))
+        grid = make_line_grid(f.box, 9)
+        lines = compute_fibered_barcode(f, grid)
+        assert isinstance(lines, tuple) and len(lines) == len(grid)
+        offsets = grid.offsets.tolist()
+        for table, offset, barcode in zip(lines, offsets, line_barcodes(f, offsets)):
+            assert table.dtype == np.float64 and table.ndim == 2 and table.shape[1] == 3
+            assert not table.flags.writeable
+            want = clip_bars(barcode.table, *grid.crossing_interval(offset), grid.delta)
+            assert np.array_equal(table, want)
+        assert sum(len(table) for table in lines) > 0
 
 
 def test_zero_g2_line_at_origin_reproduces_single_parameter():
@@ -71,11 +93,11 @@ def test_zero_g2_line_at_origin_reproduces_single_parameter():
     f = BiGradedField(g1=g1, g2=np.zeros((5, 5)))
     box = f.box
     grid = LineGrid(np.array([0.0]), 0.5, box)
-    fb = compute_fibered_barcode(f, grid)
+    lines = compute_fibered_barcode(f, grid)
     single = compute_persistence(build_complex(g1))
     t_enter, t_exit = grid.crossing_interval(0.0)
     expected = clip_bars(single.bars, t_enter, t_exit, grid.delta)
-    assert np.array_equal(fb.barcodes[0], expected)
+    assert np.array_equal(lines[0], expected)
 
 
 def test_fibered_bars_match_sliced_betti_oracle():
@@ -83,7 +105,7 @@ def test_fibered_bars_match_sliced_betti_oracle():
     for _ in range(10):
         f = BiGradedField(g1=rng.random((4, 4)), g2=rng.uniform(-0.5, 0.5, (4, 4)))
         grid = make_line_grid(f.box, 9)
-        fb = compute_fibered_barcode(f, grid)
+        lines = compute_fibered_barcode(f, grid)
         for li, offset in enumerate(grid.offsets.tolist()):
             c = build_complex(slice_scalar_field(f, offset))
             t_enter, t_exit = grid.crossing_interval(offset)
@@ -91,7 +113,7 @@ def test_fibered_bars_match_sliced_betti_oracle():
                 if not (t_enter <= t < t_exit):
                     continue
                 betti = betti_oracle(c, t)
-                birth, death, degree = fb.barcodes[li].T
+                birth, death, degree = lines[li].T
                 for k in range(2):
                     alive = np.count_nonzero((degree == k) & (birth <= t) & (t < death))
                     assert alive == betti[k]
@@ -101,8 +123,8 @@ def test_bar_births_respect_entry_parameter():
     rng = np.random.default_rng(1)
     f = BiGradedField(g1=rng.random((5, 5)), g2=rng.uniform(-1, 1, (5, 5)))
     grid = make_line_grid(f.box, 12)
-    fb = compute_fibered_barcode(f, grid)
-    for offset, bars in zip(grid.offsets.tolist(), fb.barcodes):
+    lines = compute_fibered_barcode(f, grid)
+    for offset, bars in zip(grid.offsets.tolist(), lines):
         t_enter, _ = grid.crossing_interval(offset)
         assert (bars[:, 0] >= t_enter - 1e-9).all()
 
@@ -110,9 +132,9 @@ def test_bar_births_respect_entry_parameter():
 def test_infinite_bars_clipped_with_flag():
     f = BiGradedField(g1=np.zeros((3, 3)), g2=np.zeros((3, 3)))
     grid = make_line_grid(f.box, 3)
-    fb = compute_fibered_barcode(f, grid)
+    lines = compute_fibered_barcode(f, grid)
     mid = len(grid) // 2
-    birth, death, _ = fb.barcodes[mid][0]
+    birth, death, _ = lines[mid][0]
     t_enter, t_exit = grid.crossing_interval(grid.offsets[mid])
     assert death > t_exit  # a death past t_exit flags a bar that was infinite
     assert death == t_exit + grid.delta
@@ -158,9 +180,9 @@ def test_out_of_box_grades_are_clipped_to_the_grid_box():
     small = make_line_grid((0.0, 0.0, 1.0, 1.0), 5)
     (lo1, lo2, hi1, hi2), box = small.box, f.box
     assert box[0] < lo1 and box[1] < lo2 and box[2] > hi1 and box[3] > hi2
-    fb = compute_fibered_barcode(f, small)
-    assert sum(len(bars) for bars in fb.barcodes) > 0
-    for offset, bars in zip(small.offsets.tolist(), fb.barcodes):
+    lines = compute_fibered_barcode(f, small)
+    assert sum(len(bars) for bars in lines) > 0
+    for offset, bars in zip(small.offsets.tolist(), lines):
         t_enter, t_exit = small.crossing_interval(offset)
         birth, death = bars[:, 0], bars[:, 1]
         assert (birth >= t_enter).all()
@@ -178,11 +200,11 @@ def test_per_line_stability_of_clipped_barcodes():
         )
         d = sup_distance(f, h)
         grid = make_line_grid(union_box(f.box, h.box), 10)
-        fb_f = compute_fibered_barcode(f, grid)
-        fb_h = compute_fibered_barcode(h, grid)
+        lines_f = compute_fibered_barcode(f, grid)
+        lines_h = compute_fibered_barcode(h, grid)
         for li in range(len(grid)):
             for k in (0, 1):
-                bn = bottleneck(fb_f.bars_at(li, k)[:, :2], fb_h.bars_at(li, k)[:, :2])
+                bn = bottleneck(degree_rows(lines_f[li], k), degree_rows(lines_h[li], k))
                 assert bn <= d + 1e-9
 
 
@@ -196,11 +218,11 @@ def test_per_line_stability_3d():
     )
     d = sup_distance(f, h)
     grid = make_line_grid(union_box(f.box, h.box), 8)
-    fb_f = compute_fibered_barcode(f, grid)
-    fb_h = compute_fibered_barcode(h, grid)
+    lines_f = compute_fibered_barcode(f, grid)
+    lines_h = compute_fibered_barcode(h, grid)
     for li in range(len(grid)):
         for k in (0, 1, 2):
-            bn = bottleneck(fb_f.bars_at(li, k)[:, :2], fb_h.bars_at(li, k)[:, :2])
+            bn = bottleneck(degree_rows(lines_f[li], k), degree_rows(lines_h[li], k))
             assert bn <= d + 1e-9
 
 
@@ -209,8 +231,8 @@ def test_monotone_refinement():
     f = BiGradedField(g1=rng.random((4, 4)), g2=rng.random((4, 4)))
     coarse = make_line_grid(f.box, 7)
     fine = make_line_grid(f.box, 13)  # doubles the resolution: 2L-1 lines
-    fb_coarse = compute_fibered_barcode(f, coarse)
-    fb_fine = compute_fibered_barcode(f, fine)
+    lines_coarse = compute_fibered_barcode(f, coarse)
+    lines_fine = compute_fibered_barcode(f, fine)
     common = 0
     for i, off in enumerate(coarse.offsets.tolist()):
         matches = np.nonzero(fine.offsets == off)[0]
@@ -218,7 +240,7 @@ def test_monotone_refinement():
             continue
         j = int(matches[0])
         common += 1
-        bc, bf = fb_coarse.barcodes[i], fb_fine.barcodes[j]
+        bc, bf = lines_coarse[i], lines_fine[j]
         # deltas differ, so compare everything except the infinite bars'
         # deaths, which are t_exit + delta
         _, t_exit = coarse.crossing_interval(off)
@@ -247,7 +269,7 @@ def test_one_complex_and_one_persistence_call_per_line(monkeypatch):
     rng = np.random.default_rng(11)
     f = BiGradedField(g1=rng.random((5, 4)), g2=rng.random((5, 4)))
     grid = make_line_grid(f.box, 6)
-    fb = compute_fibered_barcode(f, grid)
+    lines = compute_fibered_barcode(f, grid)
     names = [name for name, _, _ in calls]
     assert names == ["build_complex", "compute_persistence", "clip_bars"] * len(grid)
     previous = None
@@ -256,7 +278,7 @@ def test_one_complex_and_one_persistence_call_per_line(monkeypatch):
         # each call is handed the barcode returned for the line before
         assert args[0] is complex_ and args[1] is previous
         assert clip_args[0] is barcode.table
-        assert fb.barcodes[i] is clipped
+        assert lines[i] is clipped
         previous = barcode
 
 
@@ -273,7 +295,7 @@ def test_a_fibered_barcode_does_not_depend_on_the_one_before(monkeypatch):
     tables, counts = [], []
     for f in (a, b, a):
         before = len(runs)
-        tables.append(compute_fibered_barcode(f, make_line_grid(f.box, 30)).barcodes)
+        tables.append(compute_fibered_barcode(f, make_line_grid(f.box, 30)))
         counts.append(len(runs) - before)
     assert len(tables[0]) == len(tables[2]) == 30
     assert all(x.tobytes() == y.tobytes() for x, y in zip(tables[0], tables[2]))

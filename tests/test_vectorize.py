@@ -9,7 +9,6 @@ from glogtda.bifiltration import BiGradedField, compute_glog
 from glogtda.cubical_persistence import Bar
 from glogtda.errors import FormatError, LengthError, ParameterError, ShapeError
 from glogtda.fibered import (
-    FiberedBarcode,
     LineGrid,
     clip_bars,
     compute_fibered_barcode,
@@ -31,11 +30,10 @@ import reference_render
 from synthdata import disk_annulus_images
 
 
-def fibered_barcode(grid, rows_per_line):
-    """FiberedBarcode holding the given (birth, death, degree) rows on each
-    line, in clip_bars' array form."""
-    tables = tuple(np.array(rows, dtype=np.float64).reshape(-1, 3) for rows in rows_per_line)
-    return FiberedBarcode(grid, tables)
+def fibered_barcode(rows_per_line):
+    """One table per line holding the given (birth, death, degree) rows, in
+    clip_bars' array form, as compute_fibered_barcode returns them."""
+    return tuple(np.array(rows, dtype=np.float64).reshape(-1, 3) for rows in rows_per_line)
 
 
 def single_bar_barcode(birth, death, offset, box, degree=0, num_lines=5):
@@ -43,7 +41,7 @@ def single_bar_barcode(birth, death, offset, box, degree=0, num_lines=5):
     idx = int(np.argmin(np.abs(grid.offsets - offset)))
     rows = [[]] * len(grid)
     rows[idx] = [(birth, death, degree)]
-    return fibered_barcode(grid, rows), grid.offsets[idx]
+    return fibered_barcode(rows), grid, grid.offsets[idx]
 
 
 def quadrature_mass(birth, death, offset, cfg, grid_delta, factor=10):
@@ -67,32 +65,36 @@ def quadrature_mass(birth, death, offset, cfg, grid_delta, factor=10):
 
 def test_empty_barcode_renders_zero():
     grid = make_line_grid((0.0, 0.0, 1.0, 1.0), 3)
-    fb = fibered_barcode(grid, [[]] * 3)
+    lines = fibered_barcode([[]] * 3)
     cfg = MpiConfig(box=grid.box)
-    img = render_mpi(fb, 0, cfg)
+    img = render_mpi(lines, 0, cfg, grid)
     assert img.shape == (50, 50)
     assert (img == 0).all()
     # a degree with no rows on any line draws the same empty image
-    fb = fibered_barcode(grid, [[(0.2, 0.6, 0)]] * 3)
-    assert render_mpi(fb, 0, cfg).sum() > 0.0
-    assert (render_mpi(fb, 1, cfg) == 0).all()
+    lines = fibered_barcode([[(0.2, 0.6, 0)]] * 3)
+    assert render_mpi(lines, 0, cfg, grid).sum() > 0.0
+    assert (render_mpi(lines, 1, cfg, grid) == 0).all()
+    # tables for another number of lines than the grid has are refused
+    for count in (2, 4):
+        with pytest.raises(ValueError):
+            render_mpi(fibered_barcode([[(0.2, 0.6, 0)]] * count), 0, cfg, grid)
 
 
 def test_single_bar_mass_matches_quadrature():
     box = (0.0, 0.0, 1.0, 1.0)
     cfg = MpiConfig(box=box, bandwidth=0.01, weight_power=2.0)
-    fb, offset = single_bar_barcode(0.3, 0.7, 0.0, box)
-    img = render_mpi(fb, 0, cfg)
-    want = quadrature_mass(0.3, 0.7, offset, cfg, fb.grid.delta)
+    lines, grid, offset = single_bar_barcode(0.3, 0.7, 0.0, box)
+    img = render_mpi(lines, 0, cfg, grid)
+    want = quadrature_mass(0.3, 0.7, offset, cfg, grid.delta)
     assert img.sum() == pytest.approx(want, rel=0.02)
 
 
 def test_single_bar_mass_wider_bandwidth():
     box = (0.0, 0.0, 2.0, 2.0)
     cfg = MpiConfig(box=box, bandwidth=0.05, weight_power=1.0)
-    fb, offset = single_bar_barcode(0.5, 1.2, 0.0, box, num_lines=7)
-    img = render_mpi(fb, 0, cfg)
-    want = quadrature_mass(0.5, 1.2, offset, cfg, fb.grid.delta)
+    lines, grid, offset = single_bar_barcode(0.5, 1.2, 0.0, box, num_lines=7)
+    img = render_mpi(lines, 0, cfg, grid)
+    want = quadrature_mass(0.5, 1.2, offset, cfg, grid.delta)
     assert img.sum() == pytest.approx(want, rel=0.02)
 
 
@@ -152,11 +154,9 @@ def test_adding_a_bar_is_monotone():
     box = (0.0, 0.0, 1.0, 1.0)
     cfg = MpiConfig(box=box)
     grid = make_line_grid(box, 5)
-    one = fibered_barcode(grid, [[], [(0.1, 0.5, 0)], [], [], []])
-    two = fibered_barcode(
-        grid, [[], [(0.1, 0.5, 0)], [(0.2, 0.9, 0)], [], []]
-    )
-    assert (render_mpi(two, 0, cfg) >= render_mpi(one, 0, cfg)).all()
+    one = fibered_barcode([[], [(0.1, 0.5, 0)], [], [], []])
+    two = fibered_barcode([[], [(0.1, 0.5, 0)], [(0.2, 0.9, 0)], [], []])
+    assert (render_mpi(two, 0, cfg, grid) >= render_mpi(one, 0, cfg, grid)).all()
 
 
 def test_flagged_infinite_bars_render_with_clipped_persistence():
@@ -166,8 +166,7 @@ def test_flagged_infinite_bars_render_with_clipped_persistence():
     rows = [[]] * len(grid)
     t_enter, t_exit = grid.crossing_interval(grid.offsets[mid])
     rows[mid] = [(t_enter, t_exit + grid.delta, 0)]
-    fb = fibered_barcode(grid, rows)
-    img = render_mpi(fb, 0, MpiConfig(box=box, bandwidth=0.05))
+    img = render_mpi(fibered_barcode(rows), 0, MpiConfig(box=box, bandwidth=0.05), grid)
     assert img.sum() > 0.0
 
 
@@ -184,7 +183,7 @@ def test_image_clamp_shortens_or_drops_stubs_born_past_exit():
     def image(rows):
         lines = [[]] * len(grid)
         lines[mid] = rows
-        return render_mpi(fibered_barcode(grid, lines), 0, cfg)
+        return render_mpi(fibered_barcode(lines), 0, cfg, grid)
 
     born = t_exit + grid.delta / 2
     stub = clip_bars([Bar(born, math.inf, 0)], t_enter, t_exit, grid.delta)
@@ -201,8 +200,8 @@ def test_image_clamp_shortens_or_drops_stubs_born_past_exit():
 
 @pytest.fixture(scope="module")
 def clipped_barcodes():
-    """(fibered barcode, config) pairs of 28x28 disks and 8^3 noise volumes;
-    the last sample of each set lies partly outside the box."""
+    """(line tables, grid, config, axes) of 28x28 disks and 8^3 noise
+    volumes; the last sample of each set lies partly outside the box."""
     images, _ = disk_annulus_images(3, size=28, seed=1)
     fields2 = [compute_glog(normalize(Volume(im)), 0.5, 1.0) for im in images]
     rng = np.random.default_rng(11)
@@ -212,28 +211,28 @@ def clipped_barcodes():
         cfg = MpiConfig(box=compute_global_box(fields[:-1]))
         grid = make_line_grid(cfg.box, 50)
         for f in fields:
-            fb = compute_fibered_barcode(f, grid)
+            lines = compute_fibered_barcode(f, grid)
             # every degree of the field has rows to draw
-            assert set(np.concatenate(fb.barcodes)[:, 2]) == set(range(len(f.dims)))
-            out.append((fb, cfg, len(f.dims)))
+            assert set(np.concatenate(lines)[:, 2]) == set(range(len(f.dims)))
+            out.append((lines, grid, cfg, len(f.dims)))
     return out
 
 
 def test_per_line_renderer_matches_loop_reference(clipped_barcodes):
     # summation order differs from the per-segment loop, so equality holds to
     # rounding
-    for fb, cfg, n in clipped_barcodes:
+    for lines, grid, cfg, n in clipped_barcodes:
         for degree in range(n):
-            want = reference_render.render_mpi(fb, degree, cfg)
-            got = render_mpi(fb, degree, cfg)
+            want = reference_render.render_mpi(lines, degree, cfg, grid)
+            got = render_mpi(lines, degree, cfg, grid)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_zero_pixels_match_loop_reference(clipped_barcodes):
-    for fb, cfg, n in clipped_barcodes:
+    for lines, grid, cfg, n in clipped_barcodes:
         for degree in range(n):
-            want = reference_render.render_mpi(fb, degree, cfg)
-            assert np.array_equal(render_mpi(fb, degree, cfg) == 0.0, want == 0.0)
+            want = reference_render.render_mpi(lines, degree, cfg, grid)
+            assert np.array_equal(render_mpi(lines, degree, cfg, grid) == 0.0, want == 0.0)
 
 
 def test_one_render_call_per_line_with_its_rows_and_offset(clipped_barcodes, monkeypatch):
@@ -248,14 +247,14 @@ def test_one_render_call_per_line_with_its_rows_and_offset(clipped_barcodes, mon
         return render(*args, **kwargs)
 
     monkeypatch.setattr(vectorize, "render_segments", spy)
-    for fb, cfg, n in clipped_barcodes[::3]:
+    for lines, grid, cfg, n in clipped_barcodes[::3]:
         for degree in range(n):
             calls.clear()
-            render_mpi(fb, degree, cfg)
-            assert len(calls) == len(fb.grid)
+            render_mpi(lines, degree, cfg, grid)
+            assert len(calls) == len(grid)
             for i, (rows, offset, *_) in enumerate(calls):
-                assert offset == fb.grid.offsets[i]
-                assert np.array_equal(rows, fb.bars_at(i, degree)[:, :2])
+                assert offset == grid.offsets[i]
+                assert np.array_equal(rows, lines[i][lines[i][:, 2] == degree][:, :2])
             assert sum(len(rows) for rows, *_ in calls) > 0
 
 

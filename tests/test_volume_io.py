@@ -136,6 +136,18 @@ def test_read_npz_missing_entry():
         read_npz(data, "val_images")
 
 
+def test_read_npz_errors_name_the_entry():
+    # the decoder's error types are kept, and each message names the entry
+    data = npz_bytes(False, train_labels=np.zeros((3, 1), dtype=np.int64))
+    with pytest.raises(UnsupportedFeatureError, match="'<i8'.*'train_labels'"):
+        read_npz(data, "train_labels")
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        zf.writestr("val_images.npy", npy_bytes(np.zeros((4, 4), dtype=np.uint8))[:-3])
+    with pytest.raises(LengthError, match="'val_images'"):
+        read_npz(buf.getvalue(), "val_images")
+
+
 def test_read_npz_deflate_equals_stored():
     arr = (np.arange(500, dtype=np.float64) % 7).reshape(20, 25)
     stored = read_npz(npz_bytes(False, x=arr), "x")
@@ -319,6 +331,23 @@ def test_empty_split_is_read_but_is_no_dataset(tmp_path):
              test_labels=np.zeros((1, 1), dtype=np.uint8))
     with pytest.raises(ParameterError, match="got 0 volumes, 1 labels"):
         read_split(path, "test")
+
+
+@pytest.mark.parametrize("present, missing", [("test_images", "test_labels"),
+                                              ("val_labels", "val_images")])
+def test_split_with_one_of_its_entries_is_format_error(tmp_path, present, missing):
+    # a split lacking both entries is absent; lacking one, it is malformed
+    path = tmp_path / "half.npz"
+    arrays = {"train_images": np.zeros((2, 4, 4), dtype=np.uint8),
+              "train_labels": np.zeros((2, 1), dtype=np.uint8)}
+    arrays[present] = arrays["train_" + present.split("_")[1]]
+    np.savez(path, **arrays)
+    split = present.split("_")[0]
+    for reader in (read_split, load_dataset):
+        with pytest.raises(FormatError, match=f"no '{missing}'"):
+            reader(path, split)
+    with pytest.raises(NotFoundError):
+        read_split(path, "test" if split == "val" else "val")
 
 
 @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -1.0, 2.0**53],
