@@ -82,7 +82,6 @@ from .volume_io import (
     grayscale_convert,
     load_dataset,
     normalize,
-    read_npy,
     read_npz,
 )
 

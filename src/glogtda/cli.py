@@ -180,6 +180,7 @@ def _extract_split(out_dir: Path, split: str, stack, extract_one, threads: int,
     features_{split}.bin, renamed into place when complete. Returns each
     sample's extraction seconds and grade box."""
     images, labels, rgb_to_gray = stack
+    header = vectorize.glf1_header(len(images), width)  # checked before any file is opened
     seconds, boxes = [], np.empty((len(images), 4))
     path = out_dir / f"features_{split}.bin"
     tmp = path.with_name(path.name + ".tmp")
@@ -187,7 +188,7 @@ def _extract_split(out_dir: Path, split: str, stack, extract_one, threads: int,
     workers = min(threads, len(images), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
     with pool or contextlib.nullcontext(), open(tmp, "wb") as glf1:
-        glf1.write(vectorize.glf1_header(len(images), width))
+        glf1.write(header)
         for lo in range(0, len(images), CHUNK):
             fields = [glog(v) for v in to_volumes(images[lo : lo + CHUNK], rgb_to_gray)]
             results = list((pool.map if pool else map)(extract_one, fields))

@@ -2,9 +2,9 @@
 early stopping on validation AUC, and the ACC/AUC metrics.
 
 The architecture is fixed at [D, 256, 128, 64, K]: three ReLU hidden layers
-and a softmax output, trained with mini-batch cross-entropy. All randomness
-(initialization, epoch shuffles) flows from a single integer seed, so runs
-are bit-reproducible.
+and a softmax output, trained with mini-batch cross-entropy on (N, D) batches.
+All randomness (initialization, epoch shuffles) flows from a single integer
+seed, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -66,8 +66,6 @@ class TrainConfig:
             raise ParameterError("learning_rate, epochs, batch_size, patience must be > 0")
         if not np.isfinite(self.learning_rate):  # NaN passes the comparison above
             raise ParameterError(f"learning_rate must be finite, got {self.learning_rate}")
-        if self.patience > self.epochs:
-            raise ParameterError("patience must not exceed epochs")
 
 
 def init_model(dims: tuple[int, ...], seed: int) -> MlpModel:
@@ -94,29 +92,21 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Class probabilities; accepts a single vector or a (N, D) batch."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
-    if a.shape[1] != model.weights[0].shape[1]:
-        raise ShapeError(
-            f"input dim {a.shape[1]} != model dim {model.weights[0].shape[1]}"
-        )
+    """(N, K) class probabilities of an (N, D) batch; one sample is a (1, D) row."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != model.weights[0].shape[1]:
+        raise ShapeError(f"input must be (N, {model.weights[0].shape[1]}), got shape {a.shape}")
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         a = np.maximum(a @ w.T + b, 0.0)
-    probs = _softmax(a @ model.weights[-1].T + model.biases[-1])
-    return probs[0] if single else probs
+    return _softmax(a @ model.weights[-1].T + model.biases[-1])
 
 
-def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray, out=None):
+def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray, out):
     """Mean cross-entropy over the batch and gradients for every parameter.
 
     The gradients are written into out, a (weights, biases) pair of array
-    sequences shaped like the model's, which are then the ones returned;
-    they are allocated when out is None.
+    sequences shaped like the model's, which are then the ones returned.
     """
-    if out is None:
-        out = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
     grads_w, grads_b = out
     acts = [np.asarray(x, dtype=np.float64)]
     a = acts[0]
@@ -163,7 +153,8 @@ def train(
     """Mini-batch Adam; keeps the snapshot with the best validation AUC.
 
     Early-stops after cfg.patience epochs without AUC improvement (the
-    counter resets on every improvement). Returns the best snapshot.
+    counter resets on every improvement), so a patience at or past
+    cfg.epochs never stops early. Returns the best snapshot.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     val_x = np.asarray(val_x, dtype=np.float64)

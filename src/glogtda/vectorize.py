@@ -221,7 +221,10 @@ def features_to_csv(features: list[FeatureVector], labels) -> str:
 
 
 def glf1_header(count: int, width: int) -> bytes:
-    """GLF1's 12 bytes: magic, u32 row count, u32 row width (label included)."""
+    """GLF1's 12 bytes: magic, u32 row count, u32 row width (label included).
+    ParameterError when either does not fit its u32 field."""
+    if max(count, width) >= 2**32:
+        raise ParameterError(f"{count} rows of width {width} do not fit GLF1's u32 fields")
     return MAGIC_FEATURES + struct.pack("<II", count, width)
 
 

@@ -1,9 +1,9 @@
-"""Dataset ingestion: NPY/NPZ readers, grayscale conversion, normalization.
+"""Dataset ingestion: the NPZ reader, grayscale conversion, normalization.
 
-NPY headers are read with numpy.lib.format, but the accepted set
-is deliberately narrow: C-order u8/f32/f64 only, versions 1.0 and 2.0.
-Anything else errors loudly instead of guessing. NPZ archives are plain ZIP
-containers; only the stored and deflate methods are accepted.
+read_npz decodes one NPY member of an open NPZ archive, a plain ZIP container
+(stored and deflate only), its header read with numpy.lib.format. The accepted
+set is deliberately narrow: C-order u8/f32/f64 only, versions 1.0 and 2.0.
+Anything else errors loudly instead of guessing.
 
 A split is read as one stack in its stored dtype (read_split), the payload
 decompressed straight into the array, and turned into normalized grayscale
@@ -13,7 +13,6 @@ colour stack is ever made.
 
 from __future__ import annotations
 
-import io
 import math
 import zipfile
 import zlib
@@ -114,18 +113,13 @@ class Dataset:
         return len(self.volumes)
 
 
-def read_npy(data: bytes) -> np.ndarray:
-    """Decode an NPY v1.0/v2.0 byte string into a C-order ndarray.
+def _decode_npy(fp, size: int) -> np.ndarray:
+    """Decode the size-byte NPY v1.0/v2.0 stream fp into a C-order ndarray,
+    its payload read into the array a megabyte at a time.
 
     Only u8/f32/f64, fortran_order=False. The payload must match the header's
     shape exactly; leftovers or truncation raise LengthError.
     """
-    return _read_npy(io.BytesIO(data), len(data))
-
-
-def _read_npy(fp, size: int) -> np.ndarray:
-    """read_npy of the size-byte stream fp, its payload read into the array
-    a megabyte at a time."""
     try:
         version = npy_format.read_magic(fp)
         if version not in _HEADER_READERS:
@@ -153,12 +147,12 @@ def _read_npy(fp, size: int) -> np.ndarray:
     return arr
 
 
-def read_npz(source, entry_name: str) -> np.ndarray:
-    """Extract ``entry_name`` (without the .npy suffix) from an NPZ archive,
-    given as bytes or as an open binary file. Errors decoding the entry keep
-    their type and name the entry."""
+def read_npz(fh, entry_name: str) -> np.ndarray:
+    """Extract ``entry_name`` (without the .npy suffix) from the NPZ archive
+    open as the seekable binary file fh. Errors decoding the entry keep their
+    type and name the entry."""
     try:
-        zf = zipfile.ZipFile(io.BytesIO(source) if isinstance(source, bytes) else source)
+        zf = zipfile.ZipFile(fh)
     except zipfile.BadZipFile as exc:
         raise FormatError(f"not a ZIP archive: {exc}") from exc
     member = entry_name + ".npy"
@@ -173,7 +167,7 @@ def read_npz(source, entry_name: str) -> np.ndarray:
             )
         try:
             with zf.open(info) as fp:
-                return _read_npy(fp, info.file_size)
+                return _decode_npy(fp, info.file_size)
         except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
             raise FormatError(f"corrupt archive entry {entry_name!r}: {exc}") from exc
         except (FormatError, UnsupportedFeatureError) as exc:  # LengthError stays one

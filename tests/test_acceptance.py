@@ -31,6 +31,7 @@ from glogtda.fibered import make_line_grid
 from glogtda.volume_io import Volume, normalize
 
 from synthdata import disk_annulus_images
+from test_learn import grad_buffers
 from test_vectorize import quadrature_mass, single_bar_barcode
 
 
@@ -249,7 +250,7 @@ def test_criterion_8_mlp_gradient_check():
     model = init_model((20, 256, 128, 64, 3), seed=8)
     x = rng.random((16, 20))
     y = rng.integers(0, 3, 16)
-    _, gw, gb = loss_and_grads(model, x, y)
+    _, gw, gb = loss_and_grads(model, x, y, grad_buffers(model))
     params = list(model.weights) + list(model.biases)
     grads = list(gw) + list(gb)
     h = 1e-5
@@ -260,9 +261,9 @@ def test_criterion_8_mlp_gradient_check():
         idx = tuple(int(rng.integers(0, s)) for s in arr.shape)
         orig = arr[idx]
         arr[idx] = orig + h
-        lp, _, _ = loss_and_grads(model, x, y)
+        lp, _, _ = loss_and_grads(model, x, y, grad_buffers(model))
         arr[idx] = orig - h
-        lm, _, _ = loss_and_grads(model, x, y)
+        lm, _, _ = loss_and_grads(model, x, y, grad_buffers(model))
         arr[idx] = orig
         fd = (lp - lm) / (2 * h)
         rel = abs(fd - grads[pi][idx]) / max(abs(fd), abs(grads[pi][idx]), 1e-8)

@@ -136,9 +136,10 @@ def test_train_metrics_time_every_epoch(tmp_path):
     feats = [FeatureVector(row) for row in np.random.default_rng(8).random((6, 3))]
     for split in ("train", "val"):
         write_feature_bin(out / f"features_{split}.bin", feats, [0, 1, 0, 1, 0, 1])
-    assert run(["train", "--out", out, "--epochs", "3", "--patience", "3"]) == 0
+    # the default patience, 20, is past 3 epochs: early stopping never fires
+    assert run(["train", "--out", out, "--epochs", "3"]) == 0
     metrics = json.loads((out / "train_metrics.json").read_text())
-    assert metrics["epochs_run"] > 0
+    assert metrics["epochs_run"] == 3
     assert len(metrics["epoch_seconds"]) == metrics["epochs_run"]
     assert all(s > 0 for s in metrics["epoch_seconds"])
 
@@ -277,6 +278,17 @@ def test_npy_shape_past_int64_is_an_error_not_a_traceback(tmp_path, capsys):
         zf.writestr("train_labels.npy", npy_header_only((0,)))
     assert run(["extract", "--dataset", path, "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err.startswith("error: payload is 0 bytes")
+
+
+def test_feature_width_past_u32_exits_2_before_any_file(tmp_path, capsys):
+    # 2D rows hold 1 + 2 * R**2 values, past GLF1's u32 width from R = 46341 on
+    images, labels = disk_annulus_images(6, size=10, seed=4)
+    path = write_split_npz(tmp_path / "tiny.npz", images, labels, split_sizes=(4, 2))
+    out = tmp_path / "o"
+    assert run(["extract", "--dataset", path, "--out", out, "--num-lines", "2",
+                "--resolution", "46341"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not [p for p in out.iterdir() if p.name.startswith("features_") or p.suffix == ".tmp"]
 
 
 def test_chunked_extraction_equals_the_whole_split_at_once(tmp_path):

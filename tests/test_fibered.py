@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from glogtda import cubical_persistence, fibered
-from glogtda.bifiltration import BiGradedField, slice_scalar_field, sup_distance, union_box
+from glogtda.bifiltration import (
+    BiGradedField,
+    compute_glog,
+    slice_scalar_field,
+    sup_distance,
+    union_box,
+)
 from glogtda.cubical_persistence import (
     Bar,
     betti_oracle,
@@ -18,6 +25,9 @@ from glogtda.fibered import (
     line_barcodes,
     make_line_grid,
 )
+from glogtda.volume_io import Volume, normalize
+
+import synthdata
 
 
 def degree_rows(table, degree):
@@ -300,3 +310,31 @@ def test_a_fibered_barcode_does_not_depend_on_the_one_before(monkeypatch):
     assert len(tables[0]) == len(tables[2]) == 30
     assert all(x.tobytes() == y.tobytes() for x, y in zip(tables[0], tables[2]))
     assert counts[0] == counts[2] < 30
+
+
+@pytest.mark.parametrize("case", ["disk-28x28", "smooth-16x16x16"])
+def test_every_line_matches_labels_of_the_bifiltration_sets(case):
+    # the sets {g1 <= t, g2 <= t + b} labelled from g1 and g2 themselves, not
+    # from a slice: face-connected components are the alive degree-0 bars, and
+    # the bounded fully connected components of the complement, padded with an
+    # outside layer, the alive degree-(n-1) bars (Alexander duality)
+    if case == "disk-28x28":
+        image = synthdata.disk_annulus_images(1, 28, seed=5)[0][0]
+        f = compute_glog(normalize(Volume(image)), 0.5, 1.0)
+    else:
+        volume = np.random.default_rng(7).integers(0, 256, (16, 16, 16))
+        f = compute_glog(normalize(Volume(volume)), 1.5, 1.0)
+    n = len(f.dims)
+    offsets = make_line_grid(f.box, 50).offsets.tolist()
+    for b, bc in zip(offsets, line_barcodes(f, offsets)):
+        # grades halfway between consecutive breakpoints of the line, so no
+        # rounding at a breakpoint decides which voxels a set holds
+        values = np.unique(np.concatenate((f.g1.ravel(), f.g2.ravel() - b)))
+        gaps = np.diff(values)
+        mids = (values[:-1] + gaps / 2)[gaps > 1e-9]
+        for t in mids[np.linspace(0, mids.size - 1, 8).round().astype(int)]:
+            inside = (f.g1 <= t) & (f.g2 <= t + b)
+            assert ndimage.label(inside)[1] == bc.alive_count(t, 0), (b, t)
+            outside = np.pad(~inside, 1, constant_values=True)
+            holes = ndimage.label(outside, np.ones((3,) * n))[1] - 1
+            assert holes == bc.alive_count(t, n - 1), (b, t)

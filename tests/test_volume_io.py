@@ -21,7 +21,6 @@ from glogtda.volume_io import (
     grayscale_convert,
     load_dataset,
     normalize,
-    read_npy,
     read_npz,
     read_split,
 )
@@ -33,6 +32,14 @@ def npy_bytes(arr):
     return buf.getvalue()
 
 
+def read_member(raw):
+    """read_npz of raw NPY bytes stored unchanged as an in-memory archive's member."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:  # ZIP_STORED: the member's bytes are raw
+        zf.writestr("x.npy", raw)
+    return read_npz(buf, "x")
+
+
 # --- NPY ---------------------------------------------------------------------
 
 
@@ -41,7 +48,7 @@ def test_read_npy_u1_2x2():
     header += b" " * ((64 - (10 + len(header) + 1) % 64) % 64) + b"\n"
     raw = b"\x93NUMPY" + bytes((1, 0)) + struct.pack("<H", len(header)) + header
     raw += bytes([0, 128, 255, 64])
-    arr = read_npy(raw)
+    arr = read_member(raw)
     assert arr.shape == (2, 2)
     assert arr.tolist() == [[0, 128], [255, 64]]
 
@@ -50,12 +57,12 @@ def test_read_npy_bad_magic():
     raw = bytearray(npy_bytes(np.zeros(3, dtype=np.uint8)))
     raw[0] = 0x92
     with pytest.raises(FormatError):
-        read_npy(bytes(raw))
+        read_member(bytes(raw))
 
 
 def test_read_npy_round_trip_via_reference_writer():
     arr = np.arange(3 * 28 * 28, dtype=np.uint8).reshape(3, 28, 28) % 251
-    got = read_npy(npy_bytes(arr))
+    got = read_member(npy_bytes(arr))
     assert got.shape == (3, 28, 28)
     assert got.size == 2352
     np.testing.assert_array_equal(got, arr)
@@ -65,7 +72,7 @@ def test_read_npy_round_trip_via_reference_writer():
 def test_npy_payload_round_trip(dtype):
     rng = np.random.default_rng(3)
     arr = (rng.random((4, 5)) * 200).astype(dtype)
-    got = read_npy(npy_bytes(arr))
+    got = read_member(npy_bytes(arr))
     # the payload is decoded byte for byte, in the stored dtype
     assert got.dtype == arr.dtype and got.shape == arr.shape
     assert got.tobytes() == arr.tobytes()
@@ -74,18 +81,18 @@ def test_npy_payload_round_trip(dtype):
 def test_read_npy_fortran_order_rejected():
     arr = np.asfortranarray(np.arange(6, dtype=np.float32).reshape(2, 3))
     with pytest.raises(UnsupportedFeatureError):
-        read_npy(npy_bytes(arr))
+        read_member(npy_bytes(arr))
 
 
 def test_read_npy_unsupported_dtype():
     with pytest.raises(UnsupportedFeatureError):
-        read_npy(npy_bytes(np.arange(4, dtype=np.int32)))
+        read_member(npy_bytes(np.arange(4, dtype=np.int32)))
 
 
 def test_read_npy_truncated_payload():
     raw = npy_bytes(np.zeros((4, 4), dtype=np.float64))
     with pytest.raises(LengthError):
-        read_npy(raw[:-8])
+        read_member(raw[:-8])
 
 
 def npy_header_only(shape):
@@ -98,20 +105,20 @@ def npy_header_only(shape):
 def test_read_npy_shape_product_past_int64_is_length_error():
     # 2**32 * 2**32 wraps to 0 in int64, which an empty payload would match
     with pytest.raises(LengthError, match=str(2**64)):
-        read_npy(npy_header_only((2**32, 2**32)))
+        read_member(npy_header_only((2**32, 2**32)))
 
 
 def test_read_npy_v2_header():
     ref = npy_bytes(np.arange(6, dtype=np.uint8).reshape(2, 3))
     hlen = struct.unpack_from("<H", ref, 8)[0]
     v2 = ref[:6] + bytes((2, 0)) + struct.pack("<I", hlen) + ref[10:]
-    np.testing.assert_array_equal(read_npy(v2), read_npy(ref))
+    np.testing.assert_array_equal(read_member(v2), read_member(ref))
 
 
 def test_read_npy_unsupported_version():
     ref = npy_bytes(np.zeros(2, dtype=np.uint8))
     with pytest.raises(UnsupportedFeatureError):
-        read_npy(ref[:6] + bytes((3, 0)) + ref[8:])
+        read_member(ref[:6] + bytes((3, 0)) + ref[8:])
 
 
 # --- NPZ ---------------------------------------------------------------------
@@ -127,37 +134,37 @@ def npz_bytes(compress, **arrays):
 def test_read_npz_stored_passthrough():
     arr = np.arange(12, dtype=np.uint8).reshape(3, 4)
     data = npz_bytes(False, train_images=arr)
-    np.testing.assert_array_equal(read_npz(data, "train_images"), arr)
+    np.testing.assert_array_equal(read_npz(io.BytesIO(data), "train_images"), arr)
 
 
 def test_read_npz_missing_entry():
     data = npz_bytes(False, train_images=np.zeros(2, dtype=np.uint8))
     with pytest.raises(NotFoundError):
-        read_npz(data, "val_images")
+        read_npz(io.BytesIO(data), "val_images")
 
 
 def test_read_npz_errors_name_the_entry():
     # the decoder's error types are kept, and each message names the entry
     data = npz_bytes(False, train_labels=np.zeros((3, 1), dtype=np.int64))
     with pytest.raises(UnsupportedFeatureError, match="'<i8'.*'train_labels'"):
-        read_npz(data, "train_labels")
+        read_npz(io.BytesIO(data), "train_labels")
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as zf:
         zf.writestr("val_images.npy", npy_bytes(np.zeros((4, 4), dtype=np.uint8))[:-3])
     with pytest.raises(LengthError, match="'val_images'"):
-        read_npz(buf.getvalue(), "val_images")
+        read_npz(buf, "val_images")
 
 
 def test_read_npz_deflate_equals_stored():
     arr = (np.arange(500, dtype=np.float64) % 7).reshape(20, 25)
-    stored = read_npz(npz_bytes(False, x=arr), "x")
-    deflated = read_npz(npz_bytes(True, x=arr), "x")
+    stored = read_npz(io.BytesIO(npz_bytes(False, x=arr)), "x")
+    deflated = read_npz(io.BytesIO(npz_bytes(True, x=arr)), "x")
     np.testing.assert_array_equal(stored, deflated)
 
 
 def test_read_npz_not_a_zip():
     with pytest.raises(FormatError):
-        read_npz(b"definitely not a zip file", "x")
+        read_npz(io.BytesIO(b"definitely not a zip file"), "x")
 
 
 def member_payload_offset(data, name):
@@ -171,11 +178,11 @@ def test_read_npz_corrupt_member():
     stored = bytearray(npz_bytes(False, x=np.arange(16, dtype=np.uint8)))
     stored[member_payload_offset(bytes(stored), "x.npy")] ^= 1  # CRC no longer matches
     with pytest.raises(FormatError, match="CRC"):
-        read_npz(bytes(stored), "x")
+        read_npz(io.BytesIO(stored), "x")
     deflated = bytearray(npz_bytes(True, x=np.arange(16, dtype=np.uint8)))
     deflated[member_payload_offset(bytes(deflated), "x.npy")] |= 0b110  # reserved block type
     with pytest.raises(FormatError, match="decompressing"):
-        read_npz(bytes(deflated), "x")
+        read_npz(io.BytesIO(deflated), "x")
 
 
 def test_read_npz_unsupported_compression():
@@ -183,7 +190,7 @@ def test_read_npz_unsupported_compression():
     with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_BZIP2) as zf:
         zf.writestr("x.npy", npy_bytes(np.zeros(2, dtype=np.uint8)))
     with pytest.raises(UnsupportedFeatureError):
-        read_npz(buf.getvalue(), "x")
+        read_npz(buf, "x")
 
 
 # --- normalize / grayscale ---------------------------------------------------
