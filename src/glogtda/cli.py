@@ -101,11 +101,22 @@ OPTIONS = {
 }
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Yield a temp path beside path; rename it into place when the block
+    completes, and unlink it when the block raises anything."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    with _replacing(path) as tmp:
+        tmp.write_text(text)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -183,11 +194,10 @@ def _extract_split(out_dir: Path, split: str, stack, extract_one, threads: int,
     header = vectorize.glf1_header(len(images), width)  # checked before any file is opened
     seconds, boxes = [], np.empty((len(images), 4))
     path = out_dir / f"features_{split}.bin"
-    tmp = path.with_name(path.name + ".tmp")
     # a pool forks all its workers at once, so never more than there is work or cores for
     workers = min(threads, len(images), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
-    with pool or contextlib.nullcontext(), open(tmp, "wb") as glf1:
+    with pool or contextlib.nullcontext(), _replacing(path) as tmp, open(tmp, "wb") as glf1:
         glf1.write(header)
         for lo in range(0, len(images), CHUNK):
             fields = [glog(v) for v in to_volumes(images[lo : lo + CHUNK], rgb_to_gray)]
@@ -196,7 +206,6 @@ def _extract_split(out_dir: Path, split: str, stack, extract_one, threads: int,
                                                labels[lo : lo + CHUNK]).tobytes())
             seconds += [r[1] for r in results]
             boxes[lo : lo + len(fields)] = [f.box for f in fields]
-    os.replace(tmp, path)
     return seconds, boxes
 
 
@@ -311,9 +320,8 @@ def cmd_train(o) -> int:
                       patience=o.patience, rng_seed=o.seed)
     model = init_model(model_dims_for(train_x.shape[1], num_classes), o.seed)
     best, history = train(model, train_x, train_y, val_x, val_y, cfg)
-    tmp = out_dir / "checkpoint.bin.tmp"
-    save_checkpoint(tmp, best)
-    os.replace(tmp, out_dir / "checkpoint.bin")
+    with _replacing(out_dir / "checkpoint.bin") as tmp:
+        save_checkpoint(tmp, best)
     _atomic_write(out_dir / "history.csv", history.to_csv())
     probs = forward(best, val_x)
     metrics = {
@@ -412,6 +420,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -154,7 +154,8 @@ def train(
 
     Early-stops after cfg.patience epochs without AUC improvement (the
     counter resets on every improvement), so a patience at or past
-    cfg.epochs never stops early. Returns the best snapshot.
+    cfg.epochs never stops early. Returns the best snapshot. Raises
+    ParameterError, naming the epoch, once an epoch's mean loss is not finite.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     val_x = np.asarray(val_x, dtype=np.float64)
@@ -216,6 +217,8 @@ def train(
                     a /= b
                     P -= a
         train_loss = float(np.average(losses, weights=weights_of))
+        if not np.isfinite(train_loss):
+            raise ParameterError(f"training diverged: epoch {epoch} mean train loss {train_loss}")
         val_auc = auc(forward(model, val_x), val_y)
         history.rows.append((epoch, train_loss, val_auc))
         if val_auc >= best_auc:
@@ -286,7 +289,9 @@ def auc(scores, truth) -> float:
 
 def save_checkpoint(path, model: MlpModel) -> None:
     """GLM1 binary: magic, u32 layer count, u32 dims, then per-layer row-major
-    float64 weights followed by biases."""
+    float64 weights followed by biases, all finite."""
+    if not all(np.isfinite(p).all() for p in (*model.weights, *model.biases)):
+        raise ParameterError("checkpoint weights and biases must be finite")
     dims = model.layer_dims
     with open(path, "wb") as fh:
         fh.write(MAGIC_MODEL)
@@ -324,4 +329,6 @@ def load_checkpoint(path) -> MlpModel:
         biases.append(b.copy())
     if offset != len(data):
         raise LengthError("trailing bytes in checkpoint")
+    if not np.isfinite(np.frombuffer(data, "<f8", offset=8 + 4 * n_dims)).all():
+        raise FormatError("checkpoint weights and biases must be finite")
     return MlpModel(tuple(weights), tuple(biases))

@@ -291,6 +291,95 @@ def test_feature_width_past_u32_exits_2_before_any_file(tmp_path, capsys):
     assert not [p for p in out.iterdir() if p.name.startswith("features_") or p.suffix == ".tmp"]
 
 
+def small_archive(tmp_path):
+    images, labels = disk_annulus_images(12, size=14, seed=5)
+    return write_split_npz(tmp_path / "small.npz", images, labels, split_sizes=(6, 3, 3))
+
+
+def test_failed_feature_write_leaves_no_temp_file(tmp_path, capsys):
+    # weights of (death - birth) ** 1000 overflow, so the first chunk's table
+    # is refused after features_train.bin.tmp was opened
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run(["extract", "--dataset", small_archive(tmp_path), "--out", out,
+                    "--num-lines", "4", "--resolution", "8", "--weight-power", "1000"]) == 2
+    assert capsys.readouterr().err.startswith("error: feature values must be finite")
+    assert list(out.iterdir()) == []
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys):
+    # a LoG kernel of sigma 1e6 asks numpy for 262 TiB, refused at once
+    out = tmp_path / "o"
+    assert run(["extract", "--dataset", small_archive(tmp_path), "--out", out,
+                "--sigma-log", "1e6"]) == 2
+    assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate")
+    assert not list(out.glob("features_*"))
+
+
+@pytest.mark.parametrize("interrupt", [OSError("disk full"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+def test_failed_checkpoint_write_keeps_the_earlier_checkpoint(tmp_path, monkeypatch, interrupt):
+    from glogtda.vectorize import FeatureVector, write_feature_bin
+
+    out = tmp_path / "ckpt"
+    out.mkdir()
+    feats = [FeatureVector(row) for row in np.random.default_rng(8).random((6, 3))]
+    for split in ("train", "val"):
+        write_feature_bin(out / f"features_{split}.bin", feats, [0, 1, 0, 1, 0, 1])
+    assert run(["train", "--out", out, "--epochs", "2"]) == 0
+    earlier = (out / "checkpoint.bin").read_bytes()
+
+    def write_then_fail(path, model):
+        Path(path).write_bytes(b"GLM1 cut short")
+        raise interrupt
+
+    monkeypatch.setattr(cli, "save_checkpoint", write_then_fail)
+    try:
+        code = run(["train", "--out", out, "--epochs", "3", "--seed", "1"])
+    except KeyboardInterrupt:
+        code = "interrupted"
+    assert code == (2 if isinstance(interrupt, OSError) else "interrupted")
+    assert (out / "checkpoint.bin").read_bytes() == earlier
+    assert not (out / "checkpoint.bin.tmp").exists()
+
+
+@pytest.mark.parametrize("epochs, rate, message", [
+    # one Adam step per epoch: epoch 1's loss is finite, epoch 2's is NaN
+    ("3", "1e300", "error: training diverged: epoch 2 mean train loss nan"),
+    # gradients above 1 times this rate overflow in the first step, so the
+    # loss of the only epoch is finite and the model it leaves is not
+    ("1", "1e306", "error: checkpoint weights and biases must be finite"),
+], ids=["loss", "model"])
+def test_diverged_training_exits_2_and_saves_nothing(tmp_path, capsys, epochs, rate, message):
+    from glogtda.vectorize import FeatureVector, write_feature_bin
+
+    out = tmp_path / "diverge"
+    out.mkdir()
+    feats = [FeatureVector(row) for row in np.random.default_rng(8).random((6, 3)) * 1000]
+    for split in ("train", "val"):
+        write_feature_bin(out / f"features_{split}.bin", feats, [0, 1, 0, 1, 0, 1])
+    with pytest.warns(RuntimeWarning):  # numpy's overflow and invalid-value warnings
+        assert run(["train", "--out", out, "--epochs", epochs, "--learning-rate", rate]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert sorted(p.name for p in out.iterdir()) == ["features_train.bin", "features_val.bin"]
+
+
+def test_eval_refuses_a_non_finite_checkpoint(tmp_path, capsys):
+    from glogtda.learn import init_model, model_dims_for, save_checkpoint
+
+    out = tmp_path / "nan"
+    out.mkdir()
+    write_glf1(out / "features_test.bin",
+               np.column_stack(([0, 1, 0], np.random.default_rng(8).random((3, 3)))))
+    save_checkpoint(out / "checkpoint.bin", init_model(model_dims_for(3, 2), 0))
+    data = bytearray((out / "checkpoint.bin").read_bytes())
+    data[28:36] = struct.pack("<d", np.nan)  # the first weight, after 5 u32 dims
+    (out / "checkpoint.bin").write_bytes(bytes(data))
+    assert run(["eval", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: checkpoint weights and biases must be finite")
+    assert not (out / "eval_metrics.json").exists()
+
+
 def test_chunked_extraction_equals_the_whole_split_at_once(tmp_path):
     # splits of two full chunks and a partial one, and of less than a chunk
     images, labels = disk_annulus_images(2 * CHUNK + 3 + 7 + 5, size=10, seed=12)

@@ -433,6 +433,22 @@ def test_checkpoint_errors(tmp_path):
         with pytest.raises(FormatError) as err:
             load_checkpoint(path)
         assert err.type is FormatError
+    # a parameter that is not finite: here the last bias
+    save_checkpoint(path, m)
+    for bad in (np.nan, np.inf):
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", bad))
+        with pytest.raises(FormatError, match="finite") as err:
+            load_checkpoint(path)
+        assert err.type is FormatError
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_save_checkpoint_refuses_non_finite_parameters(tmp_path, bad):
+    m = init_model((4, 3, 2), seed=20)
+    m.weights[1][1, 2] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        save_checkpoint(tmp_path / "model.bin", m)
+    assert not (tmp_path / "model.bin").exists()
 
 
 def test_history_csv():
