@@ -119,8 +119,8 @@ def _atomic_write(path: Path, text: str) -> None:
         tmp.write_text(text)
 
 
-def _write_json(path: Path, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _load_config_file(path) -> dict:
@@ -185,19 +185,18 @@ def _clip_report(boxes, box) -> dict:
             "max_excess": float(reach.max(initial=0.0))}
 
 
-def _extract_split(out_dir: Path, split: str, stack, extract_one, threads: int,
+def _extract_split(path: Path, stack, extract_one, threads: int,
                    width: int, glog) -> tuple[list[float], np.ndarray]:
-    """Stream one split, CHUNK samples at a time, through one pool into
-    features_{split}.bin, renamed into place when complete. Returns each
-    sample's extraction seconds and grade box."""
+    """Stream one split, CHUNK samples at a time, through one pool into the
+    GLF1 file path, closed on return. Returns each sample's extraction
+    seconds and grade box."""
     images, labels, rgb_to_gray = stack
     header = vectorize.glf1_header(len(images), width)  # checked before any file is opened
     seconds, boxes = [], np.empty((len(images), 4))
-    path = out_dir / f"features_{split}.bin"
     # a pool forks all its workers at once, so never more than there is work or cores for
     workers = min(threads, len(images), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
-    with pool or contextlib.nullcontext(), _replacing(path) as tmp, open(tmp, "wb") as glf1:
+    with pool or contextlib.nullcontext(), open(path, "wb") as glf1:
         glf1.write(header)
         for lo in range(0, len(images), CHUNK):
             fields = [glog(v) for v in to_volumes(images[lo : lo + CHUNK], rgb_to_gray)]
@@ -263,23 +262,28 @@ def cmd_extract(o) -> int:
 
     extract_one = functools.partial(_extract_one, grid, cfg)
     timings, clipped = [], {}
-    for split in n_dims:  # read again, so only one split's images are held at a time
-        seconds, boxes = _extract_split(out_dir, split, read_split(o.dataset, split),
-                                        extract_one, threads, 1 + feature_dim, glog)
-        timings += seconds
-        clipped[split] = _clip_report(boxes, cfg.box)
+    # every output is written beside its place, and renamed into it only once
+    # all are complete; a raise unlinks them all and leaves the old set whole
+    with contextlib.ExitStack() as publish:
+        def staged(name: str) -> Path:
+            return publish.enter_context(_replacing(out_dir / name))
 
-    timing = {
-        "samples": len(timings),
-        "mean_seconds": float(np.mean(timings)),
-        "p95_seconds": float(np.quantile(timings, 0.95)),
-        "clipped": clipped,
-        "note": "wall clock on this machine; reference timings depend on hardware",
-    }
-    _write_json(out_dir / "timing.json", timing)
-    _write_json(
-        out_dir / "extract_config.json",
-        {
+        for split in n_dims:  # read again, so only one split's images are held at a time
+            seconds, boxes = _extract_split(staged(f"features_{split}.bin"),
+                                            read_split(o.dataset, split),
+                                            extract_one, threads, 1 + feature_dim, glog)
+            timings += seconds
+            clipped[split] = _clip_report(boxes, cfg.box)
+
+        timing = {
+            "samples": len(timings),
+            "mean_seconds": float(np.mean(timings)),
+            "p95_seconds": float(np.quantile(timings, 0.95)),
+            "clipped": clipped,
+            "note": "wall clock on this machine; reference timings depend on hardware",
+        }
+        staged("timing.json").write_text(_json(timing))
+        staged("extract_config.json").write_text(_json({
             **{key: vars(o)[key] for key in ("sigma_gauss", "sigma_log", "num_lines",
                                              "bandwidth", "weight_power", "resolution")},
             "box": list(cfg.box),
@@ -287,8 +291,9 @@ def cmd_extract(o) -> int:
             "feature_dim": feature_dim,
             "seed": o.seed,
             "rgb_to_gray": rgb_to_gray,
-        },
-    )
+        }))
+        for split in set(SPLITS) - set(n_dims):  # an older run's file for a split skipped now
+            (out_dir / f"features_{split}.bin").unlink(missing_ok=True)
     print(
         f"extracted {timing['samples']} samples: mean {timing['mean_seconds']:.3f}s, "
         f"p95 {timing['p95_seconds']:.3f}s per sample -> {out_dir}"
@@ -331,7 +336,7 @@ def cmd_train(o) -> int:
         "epoch_seconds": history.epoch_seconds,
         "num_classes": num_classes,
     }
-    _write_json(out_dir / "train_metrics.json", metrics)
+    _atomic_write(out_dir / "train_metrics.json", _json(metrics))
     print(f"val AUC {metrics['val_auc']:.4f}  val ACC {metrics['val_acc']:.4f}")
     return 0
 
@@ -355,7 +360,7 @@ def cmd_eval(o) -> int:
         "auc": auc(probs, test_y),
         "acc": accuracy(probs.argmax(axis=1), test_y),
     }
-    _write_json(out_dir / "eval_metrics.json", metrics)
+    _atomic_write(out_dir / "eval_metrics.json", _json(metrics))
     print(f"test AUC {metrics['auc']:.4f}  test ACC {metrics['acc']:.4f}")
     return 0
 
@@ -373,7 +378,7 @@ def cmd_stability(o) -> int:
         print(rep.table())
         reports.append(json.loads(rep.to_json()))
         all_passed &= rep.passed
-    _write_json(out_dir / "stability_report.json", reports)
+    _atomic_write(out_dir / "stability_report.json", _json(reports))
     return 0 if all_passed else 1
 
 

@@ -40,14 +40,22 @@ def _squared_offsets(sigma: float, n: int) -> np.ndarray:
     return sum(g * g for g in grids)
 
 
+def _finished(w: np.ndarray, kind: str, sigma: float) -> np.ndarray:
+    """w made read-only, or ParameterError naming the sigma if a weight is not finite."""
+    if not np.isfinite(w).all():
+        raise ParameterError(f"{kind} sigma {sigma} gives kernel weights that are not finite")
+    w.setflags(write=False)
+    return w
+
+
 def gaussian_kernel(sigma: float, n: int) -> np.ndarray:
     """Sample G on [-radius, radius]^n, radius = default_radius(sigma), and
     normalize the read-only float64 weights to sum to 1."""
     r2 = _squared_offsets(sigma, n)
-    w = np.exp(-r2 / (2.0 * sigma**2))
-    w /= w.sum()
-    w.setflags(write=False)
-    return w
+    with np.errstate(all="ignore"):  # a weight out of range is refused below
+        w = np.exp(-r2 / (2.0 * sigma**2))
+        w /= w.sum()
+    return _finished(w, "Gaussian", sigma)
 
 
 def log_kernel(sigma: float, n: int) -> np.ndarray:
@@ -55,10 +63,10 @@ def log_kernel(sigma: float, n: int) -> np.ndarray:
     subtract the mean so the read-only float64 weights sum to 0."""
     s2 = sigma**2
     r2 = _squared_offsets(sigma, n)
-    w = (r2 - n * s2) / (s2 * s2) * np.exp(-r2 / (2.0 * s2))
-    w -= w.mean()
-    w.setflags(write=False)
-    return w
+    with np.errstate(all="ignore"):  # a weight out of range is refused below
+        w = (r2 - n * s2) / (s2 * s2) * np.exp(-r2 / (2.0 * s2))
+        w -= w.mean()
+    return _finished(w, "LoG", sigma)
 
 
 def convolve(volume: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -46,6 +46,9 @@ class MpiConfig:
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise ParameterError(f"bandwidth must be > 0, got {self.bandwidth}")
+        reach = _CUTOFF_BANDWIDTHS * self.bandwidth  # squared by products, which cannot raise
+        if not np.isfinite(reach * reach) or 2.0 * (self.bandwidth * self.bandwidth) == 0:
+            raise ParameterError(f"bandwidth {self.bandwidth} squares past the float range")
         if any(r < 1 for r in self.resolution):
             raise ParameterError(f"resolution must be >= 1, got {self.resolution}")
         object.__setattr__(self, "box", widen_box(self.box))
@@ -154,9 +157,7 @@ def render_mpi(
 
 
 def compute_global_box(fields: list[BiGradedField]) -> Box:
-    """Tight grade box over a training split (errors when empty)."""
-    if not fields:
-        raise ParameterError("training split is empty; cannot fix a global box")
+    """Tight grade box over a training split (union_box errors when empty)."""
     return union_box(*(f.box for f in fields))
 
 

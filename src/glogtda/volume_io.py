@@ -78,7 +78,7 @@ class Volume:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labelled volumes of identical dims belonging to one split.
+    """One split's labelled volumes, as load_dataset reads them.
 
     ``rgb_to_gray`` records that the stored stack had a trailing colour axis
     that was collapsed to luminance.
@@ -86,28 +86,7 @@ class Dataset:
 
     volumes: list[Volume]
     labels: np.ndarray
-    split: str
     rgb_to_gray: bool = False
-
-    def __post_init__(self):
-        if self.split not in ("train", "val", "test"):
-            raise ParameterError(f"split must be train/val/test, got {self.split!r}")
-        labels = np.asarray(self.labels).reshape(-1)
-        if len(self.volumes) == 0 or len(self.volumes) != labels.size:
-            raise ParameterError(
-                f"need equally many volumes and labels, nonzero; "
-                f"got {len(self.volumes)} volumes, {labels.size} labels"
-            )
-        dims0 = self.volumes[0].dims
-        for v in self.volumes:
-            if v.dims != dims0:
-                raise ShapeError(f"mixed volume dims: {v.dims} vs {dims0}")
-        bad = np.flatnonzero(~is_label(labels))
-        if len(bad):
-            raise ParameterError(f"labels[{bad[0]}] is {labels[bad[0]]!r}, not {LABEL_RULE}")
-        labels = labels.astype(np.int64)
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.volumes)
@@ -263,6 +242,10 @@ def load_dataset(path, split: str) -> Dataset:
     intensities are then normalized to [0, 1].
     """
     images, labels, rgb_to_gray = read_split(path, split)
+    if len(images) == 0:
+        raise ParameterError("need equally many volumes and labels, nonzero; "
+                             "got 0 volumes, 0 labels")
+    labels.setflags(write=False)
     volumes = [v for lo in range(0, len(images), CHUNK)
                for v in to_volumes(images[lo : lo + CHUNK], rgb_to_gray)]
-    return Dataset(volumes=volumes, labels=labels, split=split, rgb_to_gray=rgb_to_gray)
+    return Dataset(volumes=volumes, labels=labels, rgb_to_gray=rgb_to_gray)

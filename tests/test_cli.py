@@ -13,6 +13,7 @@ import glogtda
 from glogtda import cli, vectorize
 from glogtda.bifiltration import compute_glog
 from glogtda.cli import main
+from glogtda.errors import ParameterError
 from glogtda.fibered import make_line_grid
 from glogtda.vectorize import read_feature_bin
 from glogtda.volume_io import CHUNK, load_dataset
@@ -304,6 +305,55 @@ def test_failed_feature_write_leaves_no_temp_file(tmp_path, capsys):
         assert run(["extract", "--dataset", small_archive(tmp_path), "--out", out,
                     "--num-lines", "4", "--resolution", "8", "--weight-power", "1000"]) == 2
     assert capsys.readouterr().err.startswith("error: feature values must be finite")
+    assert list(out.iterdir()) == []
+
+
+def test_a_failed_extract_keeps_every_file_of_the_earlier_run(tmp_path, monkeypatch, capsys):
+    # the train split completes and the val split raises: nothing of the
+    # second run is published, so the first run's set stays whole
+    path, out = small_archive(tmp_path), tmp_path / "o"
+    args = ["extract", "--dataset", path, "--out", out, "--num-lines", "4", "--resolution", "8",
+            "--threads", "1"]
+    assert run(args) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    build, calls = vectorize.build_features, []
+
+    def fail_on_val(fields, *rest, **kw):
+        calls.append(1)
+        if len(calls) > 6:  # the train split's 6 samples are done
+            raise ParameterError("feature values must be finite")
+        return build(fields, *rest, **kw)
+
+    monkeypatch.setattr(vectorize, "build_features", fail_on_val)
+    assert run([*args, "--num-lines", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: feature values must be finite")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_extract_removes_the_feature_file_of_a_split_it_skips(tmp_path, capsys):
+    # eval would otherwise score the new model on an older run's test features
+    out = tmp_path / "o"
+    assert run(["extract", "--dataset", small_archive(tmp_path), "--out", out,
+                "--num-lines", "4", "--resolution", "8"]) == 0
+    images, labels = disk_annulus_images(8, size=14, seed=4)
+    path = write_split_npz(tmp_path / "no_test.npz", images, labels, split_sizes=(5, 3))
+    assert run(["extract", "--dataset", path, "--out", out, "--num-lines", "3",
+                "--resolution", "8"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "extract_config.json", "features_train.bin", "features_val.bin", "timing.json"]
+    assert run(["train", "--out", out, "--epochs", "2"]) == 0
+    assert run(["eval", "--out", out]) == 2
+    assert "features_test.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [(["--bandwidth", "1e300"], "bandwidth 1e+300 "),
+                                           (["--sigma-log", "1e-160"], "LoG sigma 1e-160 ")],
+                         ids=["bandwidth", "sigma-log"])
+def test_a_scale_whose_square_leaves_the_floats_exits_2_naming_it(tmp_path, capsys, args, message):
+    out = tmp_path / "o"
+    assert run(["extract", "--dataset", small_archive(tmp_path), "--out", out,
+                "--num-lines", "4", "--resolution", "8", *args]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
     assert list(out.iterdir()) == []
 
 

@@ -111,6 +111,21 @@ def test_sigma_validation():
         log_kernel(1.0, 4)
 
 
+@pytest.mark.parametrize("build, sigma, kind", [(log_kernel, 1e-80, "LoG"),
+                                                (log_kernel, 1e-160, "LoG"),
+                                                (gaussian_kernel, 1e-200, "Gaussian")])
+def test_sigma_whose_square_leaves_the_floats_is_refused(build, sigma, kind):
+    # the LoG divides by sigma^4, the Gaussian by 2 sigma^2
+    for n in (2, 3):
+        with pytest.raises(ParameterError, match=f"{kind} sigma {sigma} "):
+            build(sigma, n)
+
+
+def test_small_sigmas_inside_the_floats_give_finite_weights():
+    for build, sigma in ((log_kernel, 1e-30), (log_kernel, 1e-60), (gaussian_kernel, 1e-160)):
+        assert np.isfinite(build(sigma, 2)).all()
+
+
 def test_convolve_constant_eigenfunction():
     k = gaussian_kernel(1.0, 2)
     out = convolve(np.full((6, 6), 0.7), k)

@@ -25,7 +25,8 @@ def test_perfbench_smoke_passes():
 def test_traced_bench_run_matches_the_recorded_references(workload):
     # a traced run checks the exact raw bar counts of every sample, per
     # compute_persistence call, against perfbench/reference/; the smoke
-    # workloads above have no recorded references
+    # workloads above have no recorded references. A seed without one still
+    # reads correct, so the run must also say that it checked one.
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
@@ -34,3 +35,5 @@ def test_traced_bench_run_matches_the_recorded_references(workload):
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-4000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout[-4000:]
+    assert any(line.endswith("reference checked: True") for line in proc.stdout.splitlines()), \
+        proc.stdout[-4000:]

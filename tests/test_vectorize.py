@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -282,6 +283,25 @@ def test_config_validation():
         MpiConfig(box=(0, 0, 1, 1), resolution=(0, 50))
     widened = MpiConfig(box=(0.5, 0.5, 0.5, 0.5))
     assert widened.box[2] > widened.box[0]
+
+
+@pytest.mark.parametrize("bandwidth", [1e160, 1e300, 1e-200])
+def test_bandwidth_whose_square_leaves_the_floats_is_refused(bandwidth):
+    # 1e160 and 1e300 overflowed the cutoff's square; at 1e-200, 2 h^2 was 0
+    # and a pixel on the bar read 0/0
+    with pytest.raises(ParameterError, match=re.escape(f"bandwidth {bandwidth} ")):
+        MpiConfig(box=(0, 0, 1, 1), bandwidth=bandwidth)
+
+
+@pytest.mark.parametrize("bandwidth", [1e150, 1e-150, 1e-160])
+def test_extreme_bandwidths_inside_the_floats_give_finite_features(bandwidth):
+    cfg = MpiConfig(box=(0.0, 0.0, 1.0, 1.0), bandwidth=bandwidth, resolution=(8, 8))
+    img = render_segments(np.array([[0.0, 1.0]]), 0.0, np.ones(1), cfg)  # on the diagonal
+    assert np.isfinite(img).all() and img.max() > 0
+    rng = np.random.default_rng(1)
+    f = BiGradedField(g1=rng.random((6, 6)), g2=rng.uniform(-1, 1, (6, 6)))
+    cfg = MpiConfig(box=f.box, bandwidth=bandwidth, resolution=(8, 8))
+    assert np.isfinite(build_features([f], cfg, grid=make_line_grid(cfg.box, 4))[0].values).all()
 
 
 def test_feature_dimensions_2d_and_3d():

@@ -16,13 +16,13 @@ from glogtda.errors import (
 )
 from glogtda.volume_io import (
     CHUNK,
-    Dataset,
     Volume,
     grayscale_convert,
     load_dataset,
     normalize,
     read_npz,
     read_split,
+    to_volumes,
 )
 
 
@@ -246,7 +246,7 @@ def test_grayscale_within_channel_range():
     assert (lum >= lo).all() and (lum <= hi).all()
 
 
-# --- Volume / Dataset invariants ---------------------------------------------
+# --- Volume invariants / load_dataset ---------------------------------------------
 
 
 def test_volume_validation():
@@ -271,29 +271,6 @@ def test_volume_keeps_a_private_copy():
     b[0, 0, 0] = 2.0  # nor a view into a larger array
     assert v.data[0, 0] == 0.0 and w.data[0, 0] == 0.0
     assert not v.data.flags.writeable and not w.data.flags.writeable
-
-
-def test_dataset_validation():
-    vols = [Volume(np.zeros((2, 2))), Volume(np.zeros((2, 2)))]
-    ds = Dataset(volumes=vols, labels=[0, 1], split="train")
-    assert len(ds) == 2 and ds.labels.tolist() == [0, 1]
-    assert len(Dataset(volumes=vols, labels=[0, 0], split="test")) == 2  # one class is fine
-    with pytest.raises(ParameterError):
-        Dataset(volumes=vols, labels=[0, 1], split="holdout")
-    with pytest.raises(ParameterError):
-        Dataset(volumes=vols, labels=[0], split="train")
-    with pytest.raises(ShapeError):
-        Dataset(volumes=[vols[0], Volume(np.zeros((3, 3)))], labels=[0, 1], split="train")
-
-
-@pytest.mark.parametrize("bad", [1.5, np.nan, -1, 2**53],
-                         ids=["fractional", "nan", "negative", "2**53"])
-def test_dataset_refuses_labels_before_the_integer_cast(bad):
-    # an int64 cast first would turn 1.5 into class 1
-    vols = [Volume(np.zeros((2, 2))), Volume(np.zeros((2, 2)))]
-    rule = r"labels\[1\] is .*, not an integer in \[0, 2\*\*53\)"
-    with pytest.raises(ParameterError, match=rule):
-        Dataset(volumes=vols, labels=[0, bad], split="train")
 
 
 def test_load_dataset_grayscale_and_labels(tmp_path):
@@ -321,7 +298,11 @@ def test_split_is_read_in_its_stored_dtype_and_converted_chunk_by_chunk(tmp_path
         assert stack.dtype == np.uint8 and stack.tobytes() == images.tobytes() and rgb_to_gray
         assert labs.tolist() == labels.reshape(-1).tolist()
     ds = load_dataset(path, "train")
-    assert len(ds) == len(images) and ds.rgb_to_gray
+    assert len(ds) == len(images) and ds.rgb_to_gray and not hasattr(ds, "split")
+    assert ds.labels.dtype == np.int64 and not ds.labels.flags.writeable
+    np.testing.assert_array_equal(ds.labels, labs)
+    whole = to_volumes(stack, rgb_to_gray)
+    assert [v.data.tobytes() for v in ds.volumes] == [v.data.tobytes() for v in whole]
     for v, img in zip(ds.volumes, images):  # each image alone, as one whole-stack call gave
         assert v.data.tobytes() == (grayscale_convert(img.astype(float)) / 255.0).tobytes()
 
