@@ -1,6 +1,7 @@
 """Command-line front door: extract -> train -> eval, plus the certification
-suites. Every command is deterministic given (config, seed) and writes only
-under the configured output directory (atomically, via temp file + rename).
+suites. Every command is deterministic given its options and writes only under
+--out, via temp file + rename. extract reads train once for the grade box, then
+each split once into rows on one worker pool, and publishes all files at once.
 
 OPTIONS states each option once, as {name: (kind, default, help)} per
 command: build_parser adds one flag per entry, and _options resolves each
@@ -69,7 +70,7 @@ OPTIONS = {
         "bandwidth": (float, 0.01, "image kernel width"),
         "weight_power": (float, 2.0, "persistence weight exponent"),
         "resolution": (int, 50, "image side in pixels"),
-        "threads": (int, None, "worker processes (default $GLOG_THREADS or 1)"),
+        "threads": (int, 1, "worker processes, at most one per CPU"),
     },
     "train": {
         **_COMMON,
@@ -80,7 +81,7 @@ OPTIONS = {
         "patience": (int, 20, "epochs without a val AUC gain before stopping"),
     },
     "eval": {
-        **_COMMON,
+        "out": _COMMON["out"],
         "features": (_text, None, "directory with features_test.bin (default --out)"),
         "checkpoint": (_text, None, "model file (default <out>/checkpoint.bin)"),
     },
@@ -171,10 +172,11 @@ def _out_dir(o) -> Path:
     return out_dir
 
 
-def _extract_one(grid, cfg, field):
+def _extract_one(glog, grid, cfg, volume):
     t0 = time.perf_counter()
+    field = glog(volume)
     feats = vectorize.build_features([field], cfg, grid=grid)
-    return feats[0], time.perf_counter() - t0
+    return feats[0], time.perf_counter() - t0, field.box
 
 
 def _clip_report(boxes, box) -> dict:
@@ -185,93 +187,78 @@ def _clip_report(boxes, box) -> dict:
             "max_excess": float(reach.max(initial=0.0))}
 
 
-def _extract_split(path: Path, stack, extract_one, threads: int,
-                   width: int, glog) -> tuple[list[float], np.ndarray]:
-    """Stream one split, CHUNK samples at a time, through one pool into the
-    GLF1 file path, closed on return. Returns each sample's extraction
-    seconds and grade box."""
+def _extract_split(path: Path, stack, extract, width: int) -> tuple[list[float], list]:
+    """Stream one split, CHUNK samples at a time, through extract (a map of
+    _extract_one) into the GLF1 file path, closed on return. Returns each
+    sample's extraction seconds and grade box."""
     images, labels, rgb_to_gray = stack
     header = vectorize.glf1_header(len(images), width)  # checked before any file is opened
-    seconds, boxes = [], np.empty((len(images), 4))
-    # a pool forks all its workers at once, so never more than there is work or cores for
-    workers = min(threads, len(images), os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
-    with pool or contextlib.nullcontext(), open(path, "wb") as glf1:
+    seconds, boxes = [], []
+    with open(path, "wb") as glf1:
         glf1.write(header)
         for lo in range(0, len(images), CHUNK):
-            fields = [glog(v) for v in to_volumes(images[lo : lo + CHUNK], rgb_to_gray)]
-            results = list((pool.map if pool else map)(extract_one, fields))
-            glf1.write(vectorize.feature_table([r[0] for r in results],
-                                               labels[lo : lo + CHUNK]).tobytes())
-            seconds += [r[1] for r in results]
-            boxes[lo : lo + len(fields)] = [f.box for f in fields]
+            feats, secs, bxs = zip(*extract(to_volumes(images[lo : lo + CHUNK], rgb_to_gray)))
+            glf1.write(vectorize.feature_table(feats, labels[lo : lo + CHUNK]).tobytes())
+            seconds += secs
+            boxes += bxs
     return seconds, boxes
 
 
-def _check_splits(path, glog) -> tuple[dict, dict, tuple]:
-    """Every split present with samples, converted a chunk at a time so that
-    every input check runs before any output is written: each split's
-    rgb_to_gray and volume rank, and the train split's grade box from one
-    glog pass. An empty split is skipped like an absent one."""
-    rgb_to_gray, n_dims, train_boxes = {}, {}, []
-    for split in SPLITS:
-        try:
-            images, _, rgb = read_split(path, split)
-        except NotFoundError:
-            continue  # split absent from the archive
-        if len(images) == 0:
-            continue  # an empty split, skipped likewise
-        rgb_to_gray[split], n_dims[split] = rgb, images.ndim - 1 - rgb
-        for lo in range(0, len(images), CHUNK):
-            volumes = to_volumes(images[lo : lo + CHUNK], rgb)
-            if split == "train":
-                train_boxes.append(union_box(*(glog(v).box for v in volumes)))
-    if "train" not in n_dims:
+def _train_split(path, glog) -> tuple[int, tuple]:
+    """The train split's volume rank and grade box, from one glog pass over its
+    samples a chunk at a time. An empty train split is refused like an absent one."""
+    try:
+        images, _, rgb = read_split(path, "train")
+    except NotFoundError:
+        images = ()
+    if len(images) == 0:
         raise ParameterError(f"dataset {path} has an empty or absent train split")
-    # degrees and the grade box come from the train split; other splits must match
-    for split, n in n_dims.items():
-        if n != n_dims["train"]:
-            raise ShapeError(f"{split} split holds {n}D volumes, train split {n_dims['train']}D")
-    return rgb_to_gray, n_dims, union_box(*train_boxes)
+    boxes = [union_box(*(glog(v).box for v in to_volumes(images[lo : lo + CHUNK], rgb)))
+             for lo in range(0, len(images), CHUNK)]
+    return images.ndim - 1 - rgb, union_box(*boxes)
 
 
 def cmd_extract(o) -> int:
     if not o.dataset:
         raise ParameterError("--dataset is required")
-    threads = o.threads
-    if threads is None:
-        threads = _convert("GLOG_THREADS", os.environ.get("GLOG_THREADS", "1"), int)
-    if threads < 1:
-        raise ParameterError(f"--threads must be >= 1, got {threads}")
+    if o.threads < 1:
+        raise ParameterError(f"--threads must be >= 1, got {o.threads}")
     if o.sigma_gauss not in SIGMA_GAUSS_CHOICES:
         raise ParameterError(
             f"--sigma-gauss must be one of {SIGMA_GAUSS_CHOICES}, got {o.sigma_gauss}")
     out_dir = _out_dir(o)
 
     glog = functools.partial(compute_glog, sigma_gauss=o.sigma_gauss, sigma_log=o.sigma_log)
-    rgb_to_gray, n_dims, box = _check_splits(o.dataset, glog)
-    cfg = MpiConfig(
-        box=box,
-        resolution=(o.resolution, o.resolution),
-        bandwidth=o.bandwidth,
-        weight_power=o.weight_power,
-    )
+    n_dims, box = _train_split(o.dataset, glog)
+    cfg = MpiConfig(box=box, resolution=(o.resolution, o.resolution), bandwidth=o.bandwidth,
+                    weight_power=o.weight_power)
     grid = make_line_grid(cfg.box, o.num_lines)
-    degrees = tuple(range(n_dims["train"]))  # build_features' default, recorded below
-    feature_dim = len(degrees) * o.resolution * o.resolution
+    feature_dim = n_dims * o.resolution * o.resolution  # degrees 0..n_dims-1
 
-    extract_one = functools.partial(_extract_one, grid, cfg)
-    timings, clipped = [], {}
+    workers = min(o.threads, os.cpu_count() or 1)
+    timings, clipped, rgb_to_gray = [], {}, {}
     # every output is written beside its place, and renamed into it only once
     # all are complete; a raise unlinks them all and leaves the old set whole
     with contextlib.ExitStack() as publish:
         def staged(name: str) -> Path:
             return publish.enter_context(_replacing(out_dir / name))
 
-        for split in n_dims:  # read again, so only one split's images are held at a time
-            seconds, boxes = _extract_split(staged(f"features_{split}.bin"),
-                                            read_split(o.dataset, split),
-                                            extract_one, threads, 1 + feature_dim, glog)
+        mapper = publish.enter_context(ProcessPoolExecutor(workers)).map if workers > 1 else map
+        extract = functools.partial(mapper, functools.partial(_extract_one, glog, grid, cfg))
+        for split in SPLITS:  # one split's images are held at a time
+            try:
+                stack = read_split(o.dataset, split)
+            except NotFoundError:
+                continue  # split absent from the archive
+            images, _, rgb = stack
+            if len(images) == 0:
+                continue  # an empty split, skipped likewise
+            # degrees and the grade box come from the train split; others must match
+            if (n := images.ndim - 1 - rgb) != n_dims:
+                raise ShapeError(f"{split} split holds {n}D volumes, train split {n_dims}D")
+            rgb_to_gray[split] = rgb
+            seconds, boxes = _extract_split(staged(f"features_{split}.bin"), stack, extract,
+                                            1 + feature_dim)
             timings += seconds
             clipped[split] = _clip_report(boxes, cfg.box)
 
@@ -287,12 +274,12 @@ def cmd_extract(o) -> int:
             **{key: vars(o)[key] for key in ("sigma_gauss", "sigma_log", "num_lines",
                                              "bandwidth", "weight_power", "resolution")},
             "box": list(cfg.box),
-            "degrees": list(degrees),
+            "degrees": list(range(n_dims)),  # build_features' default
             "feature_dim": feature_dim,
             "seed": o.seed,
             "rgb_to_gray": rgb_to_gray,
         }))
-        for split in set(SPLITS) - set(n_dims):  # an older run's file for a split skipped now
+        for split in set(SPLITS) - set(rgb_to_gray):  # an older run's file for a split skipped now
             (out_dir / f"features_{split}.bin").unlink(missing_ok=True)
     print(
         f"extracted {timing['samples']} samples: mean {timing['mean_seconds']:.3f}s, "

@@ -28,13 +28,15 @@ def default_radius(sigma: float) -> int:
     return max(1, math.ceil(3.0 * sigma))
 
 
-def _squared_offsets(sigma: float, n: int) -> np.ndarray:
+def _squared_offsets(sigma: float, n: int, kind: str) -> np.ndarray:
     """|a|^2 at every offset a of [-radius, radius]^n, radius = default_radius(sigma)."""
     if n not in (2, 3):
         raise ParameterError(f"n must be 2 or 3, got {n}")
     if sigma <= 0:
         raise ParameterError(f"sigma must be > 0, got {sigma}")
-    radius = default_radius(sigma)
+    radius = default_radius(min(sigma, 1e300))  # 3 sigma is no float past about 6e307
+    if (2 * radius + 1) ** n > np.iinfo(np.intp).max:
+        raise ParameterError(f"{kind} sigma {sigma} needs more kernel weights than numpy indexes")
     axes = np.arange(-radius, radius + 1, dtype=np.float64)
     grids = np.meshgrid(*([axes] * n), indexing="ij")
     return sum(g * g for g in grids)
@@ -51,7 +53,7 @@ def _finished(w: np.ndarray, kind: str, sigma: float) -> np.ndarray:
 def gaussian_kernel(sigma: float, n: int) -> np.ndarray:
     """Sample G on [-radius, radius]^n, radius = default_radius(sigma), and
     normalize the read-only float64 weights to sum to 1."""
-    r2 = _squared_offsets(sigma, n)
+    r2 = _squared_offsets(sigma, n, "Gaussian")
     with np.errstate(all="ignore"):  # a weight out of range is refused below
         w = np.exp(-r2 / (2.0 * sigma**2))
         w /= w.sum()
@@ -61,8 +63,8 @@ def gaussian_kernel(sigma: float, n: int) -> np.ndarray:
 def log_kernel(sigma: float, n: int) -> np.ndarray:
     """Sample Lap G on [-radius, radius]^n, radius = default_radius(sigma), then
     subtract the mean so the read-only float64 weights sum to 0."""
-    s2 = sigma**2
-    r2 = _squared_offsets(sigma, n)
+    r2 = _squared_offsets(sigma, n, "LoG")
+    s2 = sigma**2  # finite once the kernel's size is
     with np.errstate(all="ignore"):  # a weight out of range is refused below
         w = (r2 - n * s2) / (s2 * s2) * np.exp(-r2 / (2.0 * s2))
         w -= w.mean()

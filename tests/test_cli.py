@@ -16,7 +16,7 @@ from glogtda.cli import main
 from glogtda.errors import ParameterError
 from glogtda.fibered import make_line_grid
 from glogtda.vectorize import read_feature_bin
-from glogtda.volume_io import CHUNK, load_dataset
+from glogtda.volume_io import CHUNK, load_dataset, read_split
 
 from synthdata import disk_annulus_images, write_split_npz
 from test_vectorize import write_glf1
@@ -96,7 +96,8 @@ def test_extract_parallel_matches_serial(tmp_path, toy_dataset):
     ).read_bytes()
 
 
-def test_extract_pool_never_outgrows_the_work_or_the_cores(tmp_path, toy_dataset, monkeypatch):
+def test_extract_makes_one_pool_per_run_of_at_most_one_worker_per_core(tmp_path, toy_dataset,
+                                                                       monkeypatch, capsys):
     # a pool forks all its workers at the first task; this one maps serially
     # and starts no process
     sizes = []
@@ -118,15 +119,32 @@ def test_extract_pool_never_outgrows_the_work_or_the_cores(tmp_path, toy_dataset
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     out = tmp_path / "wide"
     assert run(extract_args(toy_dataset, out, ("--threads", "100000"))) == 0
-    assert sizes == [8, 6, 6]  # the 18/6/6 splits, at most 8 cores
+    assert sizes == [8]  # one pool for the 18/6/6 splits, at most 8 cores
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     assert run(extract_args(toy_dataset, tmp_path / "one", ("--threads", "100000"))) == 0
-    assert sizes == [8, 6, 6]  # one core: no pool at all
+    assert sizes == [8]  # one core: no pool at all
     serial = tmp_path / "serial"
     assert run(extract_args(toy_dataset, serial, ("--threads", "1"))) == 0
     for split in ("train", "val", "test"):
         assert (out / f"features_{split}.bin").read_bytes() == (
             serial / f"features_{split}.bin").read_bytes()
+    assert run(extract_args(toy_dataset, tmp_path / "none", ("--threads", "0"))) == 2
+    assert capsys.readouterr().err.startswith("error: --threads must be >= 1, got 0")
+    assert sizes == [8]
+
+
+def test_extract_reads_train_twice_and_every_other_split_once(tmp_path, toy_dataset,
+                                                              monkeypatch):
+    # train once for the grade box and once for its rows, val and test for their rows only
+    reads = []
+
+    def counted(path, split):
+        reads.append(split)
+        return read_split(path, split)
+
+    monkeypatch.setattr(cli, "read_split", counted)
+    assert run(extract_args(toy_dataset, tmp_path / "o")) == 0
+    assert sorted(reads) == ["test", "train", "train", "val"]
 
 
 def test_train_metrics_time_every_epoch(tmp_path):
@@ -347,8 +365,11 @@ def test_extract_removes_the_feature_file_of_a_split_it_skips(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args, message", [(["--bandwidth", "1e300"], "bandwidth 1e+300 "),
-                                           (["--sigma-log", "1e-160"], "LoG sigma 1e-160 ")],
-                         ids=["bandwidth", "sigma-log"])
+                                           (["--sigma-log", "1e-160"], "LoG sigma 1e-160 "),
+                                           # kernels too large for numpy to index
+                                           (["--sigma-log", "1e20"], "LoG sigma 1e+20 "),
+                                           (["--sigma-log", "1e300"], "LoG sigma 1e+300 ")],
+                         ids=["bandwidth", "sigma-log", "sigma-log-1e20", "sigma-log-1e300"])
 def test_a_scale_whose_square_leaves_the_floats_exits_2_naming_it(tmp_path, capsys, args, message):
     out = tmp_path / "o"
     assert run(["extract", "--dataset", small_archive(tmp_path), "--out", out,
@@ -454,18 +475,31 @@ def test_chunked_extraction_equals_the_whole_split_at_once(tmp_path):
 
 @pytest.mark.parametrize("bad", [300.0, np.nan], ids=["out-of-range", "nan"])
 def test_a_bad_value_in_a_late_chunk_writes_no_output(tmp_path, capsys, bad):
-    # every sample of every split is checked before the first file is started
+    # the bad test sample is met once train and val are staged: both staged
+    # files are unlinked, and an earlier run's outputs are left as they were
     rng = np.random.default_rng(13)
-    test_images = rng.uniform(0, 255, (CHUNK + 4, 6, 6))
-    test_images[CHUNK + 2, 3, 3] = bad
-    path = tmp_path / "late.npz"
-    np.savez(path, train_images=rng.uniform(0, 255, (6, 6, 6)), train_labels=np.zeros((6, 1)),
-             test_images=test_images, test_labels=np.zeros((CHUNK + 4, 1)))
+    images = {"train": rng.uniform(0, 255, (6, 6, 6)), "val": rng.uniform(0, 255, (3, 6, 6)),
+              "test": rng.uniform(0, 255, (CHUNK + 4, 6, 6))}
+
+    def extract(name):
+        path = tmp_path / name
+        np.savez(path, **{f"{split}_images": x for split, x in images.items()},
+                 **{f"{split}_labels": np.zeros((len(x), 1)) for split, x in images.items()})
+        return run(["extract", "--dataset", path, "--out", out, "--num-lines", "2",
+                    "--resolution", "4"])
+
     out = tmp_path / "o"
-    assert run(["extract", "--dataset", path, "--out", out, "--num-lines", "2",
-                "--resolution", "4"]) == 2
+    images["test"][CHUNK + 2, 3, 3] = bad
+    assert extract("late.npz") == 2
     assert "error:" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+    images["test"][CHUNK + 2, 3, 3] = 0.0
+    assert extract("good.npz") == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    images["test"][CHUNK + 2, 3, 3] = bad
+    assert extract("late.npz") == 2
+    assert "error:" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def extract_peak_rss_kb(tmp_path, n):
@@ -695,8 +729,11 @@ def test_float_option_rejects_non_finite_values(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("args, option", [(["--sigma-log", "0"], "sigma_log"),
-                                          (["--dims", "8x8x8x8"], "dims")],
-                         ids=["zero-sigma-log", "four-extents"])
+                                          (["--dims", "8x8x8x8"], "dims"),
+                                          (["--sigma-log", "1e20"], "LoG sigma 1e+20"),
+                                          (["--sigma-log", "1e300"], "LoG sigma 1e+300")],
+                         ids=["zero-sigma-log", "four-extents", "huge-sigma-log",
+                              "overflowing-sigma-log"])
 def test_stability_errors_name_the_option(tmp_path, capsys, args, option):
     out = tmp_path / "st"
     assert run(["stability", "--out", out, "--trials", "1", *args]) == 2
@@ -707,12 +744,6 @@ def test_stability_errors_name_the_option(tmp_path, capsys, args, option):
 def test_unconvertible_dims_names_the_option(tmp_path, capsys):
     assert run(["stability", "--out", tmp_path / "st", "--dims", "8xa"]) == 2
     assert capsys.readouterr().err.startswith("error: --dims")
-
-
-def test_unconvertible_threads_env_names_the_variable(tmp_path, toy_dataset, monkeypatch, capsys):
-    monkeypatch.setenv("GLOG_THREADS", "abc")
-    assert run(extract_args(toy_dataset, tmp_path / "o")) == 2
-    assert capsys.readouterr().err.startswith("error: GLOG_THREADS")
 
 
 @pytest.mark.parametrize("label", [-1.0, 0.5, 2.0**40],
@@ -818,14 +849,6 @@ def test_certification_without_work_is_error(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not list(out.glob("*.json"))
-
-
-def test_threads_env_fallback(tmp_path, toy_dataset, monkeypatch):
-    out = tmp_path / "env"
-    monkeypatch.setenv("GLOG_THREADS", "2")
-    assert run(extract_args(toy_dataset, out)) == 0
-    monkeypatch.setenv("GLOG_THREADS", "0")
-    assert run(extract_args(toy_dataset, tmp_path / "bad")) == 2
 
 
 def test_stability_command(tmp_path):
