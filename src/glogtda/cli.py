@@ -59,10 +59,17 @@ def _dims(value) -> tuple[int, ...]:
     return tuple(int(d) for d in str(value).split("x"))
 
 
-_COMMON = {"out": (_text, "glog_out", "output directory"), "seed": (int, 0, "RNG seed")}
+def _seed(value) -> int:
+    """An RNG seed: numpy's generators refuse a negative one."""
+    if (seed := int(value)) < 0:
+        raise ValueError("a seed must be >= 0")
+    return seed
+
+
+_COMMON = {"out": (_text, "glog_out", "output directory"), "seed": (_seed, 0, "RNG seed")}
 OPTIONS = {
     "extract": {
-        **_COMMON,
+        "out": _COMMON["out"],
         "dataset": (_text, None, "NPZ with {split}_images/{split}_labels (required)"),
         "sigma_gauss": (float, 0.5, "smoothing sigma, one of 0/0.5/1/1.5"),
         "sigma_log": (float, 1.0, "edge-response sigma"),
@@ -144,8 +151,8 @@ def _convert(name: str, value, kind):
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{name} got {value!r}: {exc}") from None
     # int() alone would truncate 10.7 to 10, and read true as 1
-    if isinstance(value, bool) or kind is int and isinstance(value, float) and out != value:
-        raise ParameterError(f"{name} got {value!r}, not a {kind.__name__}")
+    if isinstance(value, bool) or type(out) is int and isinstance(value, float) and out != value:
+        raise ParameterError(f"{name} got {value!r}, not a {type(out).__name__}")
     if kind is float and not np.isfinite(out):
         raise ParameterError(f"{name} got {value!r}, not a finite number")
     return out
@@ -204,9 +211,9 @@ def _extract_split(path: Path, stack, extract, width: int) -> tuple[list[float],
     return seconds, boxes
 
 
-def _train_split(path, glog) -> tuple[int, tuple]:
-    """The train split's volume rank and grade box, from one glog pass over its
-    samples a chunk at a time. An empty train split is refused like an absent one."""
+def _train_split(path, glog) -> tuple[tuple[int, ...], tuple]:
+    """The train split's per-sample shape and grade box, from one glog pass over
+    its samples a chunk at a time. An empty train split is refused like an absent one."""
     try:
         images, _, rgb = read_split(path, "train")
     except NotFoundError:
@@ -215,7 +222,7 @@ def _train_split(path, glog) -> tuple[int, tuple]:
         raise ParameterError(f"dataset {path} has an empty or absent train split")
     boxes = [union_box(*(glog(v).box for v in to_volumes(images[lo : lo + CHUNK], rgb)))
              for lo in range(0, len(images), CHUNK)]
-    return images.ndim - 1 - rgb, union_box(*boxes)
+    return images.shape[1 : images.ndim - rgb], union_box(*boxes)  # colour axis dropped
 
 
 def cmd_extract(o) -> int:
@@ -229,11 +236,11 @@ def cmd_extract(o) -> int:
     out_dir = _out_dir(o)
 
     glog = functools.partial(compute_glog, sigma_gauss=o.sigma_gauss, sigma_log=o.sigma_log)
-    n_dims, box = _train_split(o.dataset, glog)
+    shape, box = _train_split(o.dataset, glog)
     cfg = MpiConfig(box=box, resolution=(o.resolution, o.resolution), bandwidth=o.bandwidth,
                     weight_power=o.weight_power)
     grid = make_line_grid(cfg.box, o.num_lines)
-    feature_dim = n_dims * o.resolution * o.resolution  # degrees 0..n_dims-1
+    feature_dim = len(shape) * o.resolution * o.resolution  # degrees 0..len(shape)-1
 
     workers = min(o.threads, os.cpu_count() or 1)
     timings, clipped, rgb_to_gray = [], {}, {}
@@ -253,9 +260,9 @@ def cmd_extract(o) -> int:
             images, _, rgb = stack
             if len(images) == 0:
                 continue  # an empty split, skipped likewise
-            # degrees and the grade box come from the train split; others must match
-            if (n := images.ndim - 1 - rgb) != n_dims:
-                raise ShapeError(f"{split} split holds {n}D volumes, train split {n_dims}D")
+            # degrees, lines and the grade box come from the train split; others must match
+            if (got := images.shape[1 : images.ndim - rgb]) != shape:
+                raise ShapeError(f"{split} split holds {len(got)}D volumes {got}, train split {shape}")
             rgb_to_gray[split] = rgb
             seconds, boxes = _extract_split(staged(f"features_{split}.bin"), stack, extract,
                                             1 + feature_dim)
@@ -274,9 +281,8 @@ def cmd_extract(o) -> int:
             **{key: vars(o)[key] for key in ("sigma_gauss", "sigma_log", "num_lines",
                                              "bandwidth", "weight_power", "resolution")},
             "box": list(cfg.box),
-            "degrees": list(range(n_dims)),  # build_features' default
+            "degrees": list(range(len(shape))),  # build_features' default
             "feature_dim": feature_dim,
-            "seed": o.seed,
             "rgb_to_gray": rgb_to_gray,
         }))
         for split in set(SPLITS) - set(rgb_to_gray):  # an older run's file for a split skipped now

@@ -2,35 +2,26 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 The synthetic 400-sample disk/annulus set stands in for full-scale benchmark
-data; it exercises the identical pipeline end to end.
+data; criteria 6 (2D), 9, 10, 11 and 12 run it through the shipped
+`extract -> train -> eval` commands.
 """
 
 import itertools
+import json
 import time
 
 import numpy as np
 import pytest
 
-from glogtda.bifiltration import compute_glog
+from glogtda.bifiltration import BiGradedField, union_box
+from glogtda.cli import main
 from glogtda.cubical_persistence import betti_oracle, build_complex, component_count, compute_persistence
-from glogtda.learn import (
-    TrainConfig,
-    accuracy,
-    auc,
-    forward,
-    init_model,
-    loss_and_grads,
-    model_dims_for,
-    save_checkpoint,
-    train,
-)
-from glogtda.stability_harness import run_decomposition_suite, run_stability_suite
-from glogtda.vectorize import MpiConfig, build_features, compute_global_box, render_mpi, write_feature_bin
-from glogtda.bifiltration import BiGradedField
 from glogtda.fibered import make_line_grid
-from glogtda.volume_io import Volume, normalize
+from glogtda.learn import init_model, loss_and_grads
+from glogtda.stability_harness import run_decomposition_suite, run_stability_suite
+from glogtda.vectorize import MpiConfig, build_features, render_mpi
 
-from synthdata import disk_annulus_images
+from synthdata import disk_annulus_images, write_split_npz
 from test_learn import grad_buffers
 from test_vectorize import quadrature_mass, single_bar_barcode
 
@@ -42,77 +33,45 @@ def report(num, ok, desc, detail=""):
     assert ok, f"criterion {num} failed: {desc}{suffix}"
 
 
+def glogtda(*args):
+    assert main([str(a) for a in args]) == 0, args
+
+
 # --- shared pipeline fixtures --------------------------------------------------
 
 
 @pytest.fixture(scope="session")
-def synth400():
+def synth400(tmp_path_factory):
     images, labels = disk_annulus_images(400, size=28, noise=0.05, seed=2026)
-    splits = {
-        "train": (images[:240], labels[:240]),
-        "val": (images[240:320], labels[240:320]),
-        "test": (images[320:], labels[320:]),
-    }
-    return splits
+    path = tmp_path_factory.mktemp("synth400") / "synth400.npz"
+    return write_split_npz(path, images, labels, split_sizes=(240, 80, 80))
 
 
-def run_pipeline(splits, sigma_gauss, seed=0):
+def run_commands(dataset, out, sigma_gauss):
+    """extract -> train -> eval with default options, and what they wrote."""
     t_start = time.perf_counter()
-    volumes = {
-        split: [normalize(Volume(img.astype(float))) for img in imgs]
-        for split, (imgs, _) in splits.items()
-    }
-    per_sample = []
-    fields = {}
-    for split, vols in volumes.items():
-        out = []
-        for v in vols:
-            t0 = time.perf_counter()
-            out.append(compute_glog(v, sigma_gauss, 1.0))
-            per_sample.append(time.perf_counter() - t0)
-        fields[split] = out
-    cfg = MpiConfig(box=compute_global_box(fields["train"]))
-    grid = make_line_grid(cfg.box, 50)
-    features = {}
-    k = 0
-    for split, fs in fields.items():
-        feats = []
-        for f in fs:
-            t0 = time.perf_counter()
-            feats.append(build_features([f], cfg, grid=grid)[0])
-            per_sample[k] += time.perf_counter() - t0
-            k += 1
-        features[split] = np.vstack([fv.values for fv in feats])
-    t_extract = time.perf_counter() - t_start
-
-    model = init_model(model_dims_for(features["train"].shape[1], 2), seed)
-    best, history = train(
-        model,
-        features["train"], splits["train"][1],
-        features["val"], splits["val"][1],
-        TrainConfig(rng_seed=seed),
-    )
-    probs = forward(best, features["test"])
-    result = {
-        "auc": auc(probs, splits["test"][1]),
-        "acc": accuracy(probs.argmax(axis=1), splits["test"][1]),
-        "feature_dim": features["train"].shape[1],
-        "per_sample": per_sample,
-        "epochs": len(history.rows),
-        "runtime": time.perf_counter() - t_start,
-        "extract_seconds": t_extract,
-    }
-    return result
+    glogtda("extract", "--dataset", dataset, "--out", out, "--sigma-gauss", sigma_gauss,
+            "--threads", 2)
+    glogtda("train", "--out", out)
+    glogtda("eval", "--out", out)
+    runtime = time.perf_counter() - t_start
+    written = {name: json.loads((out / f"{name}.json").read_text())
+               for name in ("extract_config", "timing", "train_metrics", "eval_metrics")}
+    return {**written["eval_metrics"], "runtime": runtime,
+            "epochs": written["train_metrics"]["epochs_run"],
+            "feature_dim": written["extract_config"]["feature_dim"],
+            "mean_s": written["timing"]["mean_seconds"],
+            "p95_s": written["timing"]["p95_seconds"]}
 
 
 @pytest.fixture(scope="session")
-def pipeline_05(synth400):
-    return run_pipeline(synth400, sigma_gauss=0.5, seed=0)
+def pipeline_05(synth400, tmp_path_factory):
+    return run_commands(synth400, tmp_path_factory.mktemp("sigma05"), 0.5)
 
 
 @pytest.fixture(scope="session")
-def pipeline_00(synth400):
-    return run_pipeline(synth400, sigma_gauss=0.0, seed=0)
+def pipeline_00(synth400, tmp_path_factory):
+    return run_commands(synth400, tmp_path_factory.mktemp("sigma00"), 0.0)
 
 
 @pytest.fixture(scope="session")
@@ -221,7 +180,7 @@ def test_criterion_6_feature_dimensions(pipeline_05):
     rng = np.random.default_rng(106)
     fields3 = [BiGradedField(g1=rng.random((5, 5, 5)), g2=rng.uniform(-1, 1, (5, 5, 5)))
                for _ in range(2)]
-    cfg3 = MpiConfig(box=compute_global_box(fields3))
+    cfg3 = MpiConfig(box=union_box(*(f.box for f in fields3)))
     feats3 = build_features(fields3, cfg3, grid=make_line_grid(cfg3.box, 6))
     ok = dim2d == 5000 and all(len(f) == 7500 for f in feats3)
     report(6, ok, "feature dimensions: 2D -> 5000, 3D -> 7500",
@@ -284,39 +243,30 @@ def test_criterion_9_end_to_end_synthetic_classification(pipeline_05):
 
 
 def test_criterion_10_throughput(pipeline_05):
-    mean_s = float(np.mean(pipeline_05["per_sample"]))
-    p95 = float(np.quantile(pipeline_05["per_sample"], 0.95))
+    mean_s, p95 = pipeline_05["mean_s"], pipeline_05["p95_s"]
     report(10, mean_s <= 1.0, "per-sample module + feature extraction within 1 s",
            f"mean {mean_s:.3f}s, p95 {p95:.3f}s")
 
 
 def test_criterion_11_determinism(tmp_path, synth400):
-    images, labels = synth400["train"]
-    subset = [normalize(Volume(img.astype(float))) for img in images[:6]]
-    sub_labels = labels[:6]
+    with np.load(synth400) as data:  # the first train images, as train and val
+        images, labels = data["train_images"][:6], data["train_labels"][:6]
+    subset = write_split_npz(tmp_path / "subset.npz", np.concatenate([images, images]),
+                             np.concatenate([labels, labels]), split_sizes=(6, 6, None))
 
-    def feature_bytes(path):
-        fields = [compute_glog(v, 0.5, 1.0) for v in subset]
-        cfg = MpiConfig(box=compute_global_box(fields))
-        feats = build_features(fields, cfg, grid=make_line_grid(cfg.box, 20))
-        write_feature_bin(path, feats, sub_labels)
-        return path.read_bytes(), np.vstack([f.values for f in feats])
+    def outputs(out):
+        glogtda("extract", "--dataset", subset, "--out", out, "--num-lines", 20)
+        glogtda("train", "--out", out, "--epochs", 5, "--patience", 5, "--seed", 11)
+        glogtda("stability", "--out", out, "--trials", 3, "--dims", "6x6", "--sigma-gauss", 0.5,
+                "--noise-eps", 0.05, "--seed", 3, "--num-lines", 8)
+        return {name: (out / name).read_bytes() for name in
+                ("features_train.bin", "features_val.bin", "checkpoint.bin",
+                 "stability_report.json")}
 
-    b1, mat = feature_bytes(tmp_path / "f1.bin")
-    b2, _ = feature_bytes(tmp_path / "f2.bin")
-    features_same = b1 == b2
-
-    def checkpoint_bytes(path):
-        model = init_model(model_dims_for(mat.shape[1], 2), seed=11)
-        cfg = TrainConfig(epochs=5, patience=5, rng_seed=11)
-        best, _ = train(model, mat, sub_labels, mat, sub_labels, cfg)
-        save_checkpoint(path, best)
-        return path.read_bytes()
-
-    ckpt_same = checkpoint_bytes(tmp_path / "m1.bin") == checkpoint_bytes(tmp_path / "m2.bin")
-
-    kw = dict(n_trials=3, dims=(6, 6), sigma_gauss=0.5, noise_eps=0.05, seed=3, num_lines=8)
-    reports_same = run_stability_suite(**kw).to_json() == run_stability_suite(**kw).to_json()
+    first, second = outputs(tmp_path / "run1"), outputs(tmp_path / "run2")
+    same = {name: first[name] == second[name] for name in first}
+    features_same = same["features_train.bin"] and same["features_val.bin"]
+    ckpt_same, reports_same = same["checkpoint.bin"], same["stability_report.json"]
 
     report(
         11, features_same and ckpt_same and reports_same,

@@ -526,21 +526,26 @@ def test_extract_peak_memory_does_not_grow_with_the_split(tmp_path):
     assert large < 1.2 * small, (small, large)
 
 
-def test_mixed_2d_3d_splits_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("train_shape, split, shape, message", [
+    ((8, 8), "test", (6, 8, 8), "test split holds 3D volumes"),
+    ((14, 14), "val", (20, 20), "val split holds 2D volumes (20, 20), train split (14, 14)"),
+], ids=["2d-train-3d-test", "14x14-train-20x20-val"])
+def test_mixed_2d_3d_splits_rejected(tmp_path, capsys, train_shape, split, shape, message):
+    # the lines and the grade box are fitted to train's images
     rng = np.random.default_rng(7)
     path = tmp_path / "mixed.npz"
     np.savez(
         path,
-        train_images=rng.integers(0, 256, (4, 8, 8), dtype=np.uint8),
+        train_images=rng.integers(0, 256, (4, *train_shape), dtype=np.uint8),
         train_labels=np.array([[0], [1], [0], [1]], dtype=np.uint8),
-        test_images=rng.integers(0, 256, (2, 6, 8, 8), dtype=np.uint8),
-        test_labels=np.array([[0], [1]], dtype=np.uint8),
+        **{f"{split}_images": rng.integers(0, 256, (2, *shape), dtype=np.uint8),
+           f"{split}_labels": np.array([[0], [1]], dtype=np.uint8)},
     )
     out = tmp_path / "o"
     assert run(["extract", "--dataset", path, "--out", out,
                 "--num-lines", "4", "--resolution", "8"]) == 2
-    assert "test split holds 3D volumes" in capsys.readouterr().err
-    assert not (out / "features_test.bin").exists()
+    assert message in capsys.readouterr().err
+    assert not (out / f"features_{split}.bin").exists()
 
 
 def test_timing_reports_clipped_samples(tmp_path):
@@ -626,12 +631,12 @@ def test_unconvertible_config_value_names_the_option(tmp_path, toy_dataset, caps
     assert not (out / "features_train.bin").exists()
 
 
-@pytest.mark.parametrize("key, value", [("num_lines", 10.7), ("seed", True),
+@pytest.mark.parametrize("key, value", [("num_lines", 10.7), ("resolution", True),
                                         ("num_lines", float("inf"))],
                          ids=["fractional", "boolean", "infinite"])
 def test_integer_option_rejects_non_integer_config_values(
         tmp_path, toy_dataset, capsys, key, value):
-    # int() would slice 10 lines for 10.7, read true as seed 1 and raise
+    # int() would slice 10 lines for 10.7, read true as resolution 1 and raise
     # OverflowError for Infinity
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
@@ -668,9 +673,10 @@ def test_config_keys_must_belong_to_some_command(tmp_path, toy_dataset, capsys):
     # one file serves extract and train, but a misspelt key is no option at all
     cfg = tmp_path / "cfg.json"
     shared = {"dataset": str(toy_dataset), "num_lines": 10, "resolution": 12, "epochs": 2,
-              "patience": 2, "out": str(tmp_path / "shared")}
+              "patience": 2, "seed": 4, "out": str(tmp_path / "shared")}
     cfg.write_text(json.dumps(shared))
     assert main(["--config", str(cfg), "extract"]) == 0
+    assert "seed" not in json.loads((tmp_path / "shared" / "extract_config.json").read_text())
     assert main(["--config", str(cfg), "train"]) == 0
     assert json.loads((tmp_path / "shared" / "train_metrics.json").read_text())["epochs_run"] == 2
     out = tmp_path / "o"
@@ -682,8 +688,12 @@ def test_config_keys_must_belong_to_some_command(tmp_path, toy_dataset, capsys):
 
 
 @pytest.mark.parametrize("args", [["train", "--epochs", "abc"], ["extract", "--num-lines", "1.5"],
-                                  ["stability", "--seed", "x"]],
-                         ids=["word-epochs", "fractional-num-lines", "word-seed"])
+                                  ["stability", "--seed", "x"], ["train", "--seed", "-1"],
+                                  ["stability", "--seed", "-1"],
+                                  ["decomposition-demo", "--seed", "-1"]],
+                         ids=["word-epochs", "fractional-num-lines", "word-seed",
+                              "negative-train-seed", "negative-stability-seed",
+                              "negative-decomposition-seed"])
 def test_unconvertible_flag_exits_2_naming_it(tmp_path, toy_dataset, capsys, args):
     # the same path as a config value: no argparse usage error and exit status
     out = tmp_path / "o"
@@ -731,9 +741,10 @@ def test_float_option_rejects_non_finite_values(tmp_path, capsys, args):
 @pytest.mark.parametrize("args, option", [(["--sigma-log", "0"], "sigma_log"),
                                           (["--dims", "8x8x8x8"], "dims"),
                                           (["--sigma-log", "1e20"], "LoG sigma 1e+20"),
-                                          (["--sigma-log", "1e300"], "LoG sigma 1e+300")],
+                                          (["--sigma-log", "1e300"], "LoG sigma 1e+300"),
+                                          (["--dims", "3x3", "--noise-eps", "1e308"], "noise_eps")],
                          ids=["zero-sigma-log", "four-extents", "huge-sigma-log",
-                              "overflowing-sigma-log"])
+                              "overflowing-sigma-log", "overflowing-noise-eps"])
 def test_stability_errors_name_the_option(tmp_path, capsys, args, option):
     out = tmp_path / "st"
     assert run(["stability", "--out", out, "--trials", "1", *args]) == 2
