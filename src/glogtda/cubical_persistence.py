@@ -473,10 +473,7 @@ def _matching_feasible(adj: np.ndarray, drop_a: np.ndarray, drop_b: np.ndarray) 
         # no required row there is nothing to match, and scipy costs per call
         if rows.shape[0] == 0:
             return True
-        indptr = np.concatenate([[0], np.cumsum(rows.sum(axis=1))])
-        graph = csr_array((np.ones(indptr[-1], dtype=np.int8), np.nonzero(rows)[1], indptr),
-                          shape=rows.shape)
-        return bool((maximum_bipartite_matching(graph, perm_type="column") >= 0).all())
+        return bool((maximum_bipartite_matching(csr_array(rows), perm_type="column") >= 0).all())
 
     return covers(adj[~drop_a]) and covers(adj.T[~drop_b])
 
@@ -484,11 +481,12 @@ def _matching_feasible(adj: np.ndarray, drop_a: np.ndarray, drop_b: np.ndarray) 
 def bottleneck(bars_a: Sequence, bars_b: Sequence) -> float:
     """Bottleneck distance between two fixed-degree barcodes.
 
-    Bars are (birth, death[, ...]) tuples; death may be +inf. Infinite bars
-    must pair with infinite bars (cost |birth difference|), so the distance is
-    +inf when their counts differ. The finite part is the min over partial
-    matchings of the max of matched sup-norm distances and unmatched
-    half-persistences, found by binary search over the candidate distances.
+    Bars are (birth, death[, ...]) rows of a table or tuples; death may be
+    +inf. Infinite bars must pair with infinite bars (cost |birth
+    difference|), so the distance is +inf when their counts differ. The
+    finite part is the min over partial matchings of the max of matched
+    sup-norm distances and unmatched half-persistences, found by a binary
+    search over the candidate distances that tries the lower bound first.
     """
     A, ia = _split_bars(bars_a)
     B, ib = _split_bars(bars_b)
@@ -497,11 +495,6 @@ def bottleneck(bars_a: Sequence, bars_b: Sequence) -> float:
     cost_inf = float(np.abs(np.sort(ia) - np.sort(ib)).max(initial=0.0))
     half_a = (A[:, 1] - A[:, 0]) / 2.0
     half_b = (B[:, 1] - B[:, 0]) / 2.0
-    if len(A) == 0:
-        return max(cost_inf, float(half_b.max(initial=0.0)))
-    if len(B) == 0:
-        return max(cost_inf, float(half_a.max(initial=0.0)))
-
     D = np.maximum(
         np.abs(A[:, 0, None] - B[None, :, 0]), np.abs(A[:, 1, None] - B[None, :, 1])
     )
@@ -510,16 +503,17 @@ def bottleneck(bars_a: Sequence, bars_b: Sequence) -> float:
         return _matching_feasible(D <= r, half_a <= r, half_b <= r)
 
     # every bar needs some option within r
-    lb_a = np.minimum(half_a, D.min(axis=1))
-    lb_b = np.minimum(half_b, D.min(axis=0))
+    lb_a = np.minimum(half_a, D.min(axis=1, initial=INF))
+    lb_b = np.minimum(half_b, D.min(axis=0, initial=INF))
     lower = max(lb_a.max(initial=0.0), lb_b.max(initial=0.0))
-    candidates = np.unique(np.concatenate([D.ravel(), half_a, half_b]))
+    candidates = np.unique(np.concatenate([D.ravel(), half_a, half_b, [lower]]))
     candidates = candidates[candidates >= lower]
-    lo, hi = 0, len(candidates) - 1
+    # the lower bound is candidates[0] and usually the answer: try it first
+    lo, hi, mid = 0, len(candidates) - 1, 0
     while lo < hi:
-        mid = (lo + hi) // 2
         if feasible(float(candidates[mid])):
             hi = mid
         else:
             lo = mid + 1
+        mid = (lo + hi) // 2
     return max(cost_inf, float(candidates[lo]))

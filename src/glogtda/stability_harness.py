@@ -109,8 +109,8 @@ def run_stability_suite(
     """Random-pair certification of the field and per-line stability bounds."""
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
-    if not 0 <= 2 * noise_eps < np.inf:  # the noise is uniform on [-noise_eps, noise_eps]
-        raise ParameterError(f"noise_eps must be >= 0 with 2 * noise_eps finite, got {noise_eps}")
+    if not 0 <= noise_eps <= 1:  # the trial volumes are clipped to [0, 1]
+        raise ParameterError(f"noise_eps must be in [0, 1], got {noise_eps}")
     if len(dims) not in (2, 3):
         raise ShapeError(f"dims must have 2 or 3 extents, got {tuple(dims)}")
     if any(d < 2 for d in dims):

@@ -742,9 +742,12 @@ def test_float_option_rejects_non_finite_values(tmp_path, capsys, args):
                                           (["--dims", "8x8x8x8"], "dims"),
                                           (["--sigma-log", "1e20"], "LoG sigma 1e+20"),
                                           (["--sigma-log", "1e300"], "LoG sigma 1e+300"),
-                                          (["--dims", "3x3", "--noise-eps", "1e308"], "noise_eps")],
+                                          (["--dims", "3x3", "--noise-eps", "1e308"], "noise_eps"),
+                                          (["--dims", "3x3", "--noise-eps", "8.9e307"], "noise_eps"),
+                                          (["--dims", "3x3", "--noise-eps", "2"], "noise_eps")],
                          ids=["zero-sigma-log", "four-extents", "huge-sigma-log",
-                              "overflowing-sigma-log", "overflowing-noise-eps"])
+                              "overflowing-sigma-log", "overflowing-noise-eps",
+                              "huge-noise-eps", "noise-eps-above-one"])
 def test_stability_errors_name_the_option(tmp_path, capsys, args, option):
     out = tmp_path / "st"
     assert run(["stability", "--out", out, "--trials", "1", *args]) == 2

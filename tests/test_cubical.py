@@ -617,6 +617,48 @@ def test_matching_feasible_skips_sides_without_required_bars(monkeypatch):
                               np.ones(2, dtype=bool))
 
 
+def test_bottleneck_tries_the_lower_bound_first(monkeypatch):
+    # each bar's nearest option is its shifted copy, and the worst of those
+    # (0.3) is the distance: one search step, one matching per side
+    import scipy.sparse.csgraph
+
+    real, calls = scipy.sparse.csgraph.maximum_bipartite_matching, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "maximum_bipartite_matching", counted)
+    a = [(0.0, 1.0), (2.0, 5.0), (3.0, 4.0), (6.0, 9.0)]
+    b = [(0.1, 1.1), (2.0, 5.2), (3.0, 4.05), (6.3, 9.0)]
+    assert bottleneck(a, b) == pytest.approx(0.3)
+    assert len(calls) <= 2
+
+
+def test_bottleneck_is_the_first_feasible_candidate():
+    # sizes past the brute force: scan every candidate r in increasing order
+    # with the reference matcher, so the answer does not depend on the order
+    # in which bottleneck searches. Endpoints on a 1/64 grid keep the scan short
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        a, b = [], []
+        for bars, n in ((a, rng.integers(20, 61)), (b, rng.integers(20, 61))):
+            births = rng.integers(0, 320, n) / 64.0
+            deaths = births + rng.integers(1, 192, n) / 64.0
+            bars.extend(zip(births.tolist(), deaths.tolist()))
+        n_inf = rng.integers(0, 4)
+        inf_a = [(x, INF) for x in (rng.integers(0, 320, n_inf) / 64.0).tolist()]
+        inf_b = [(x, INF) for x in (rng.integers(0, 320, n_inf) / 64.0).tolist()]
+
+        A, B = np.array(a), np.array(b)
+        half_a, half_b = (A[:, 1] - A[:, 0]) / 2.0, (B[:, 1] - B[:, 0]) / 2.0
+        D = np.maximum(np.abs(A[:, None, 0] - B[None, :, 0]), np.abs(A[:, None, 1] - B[None, :, 1]))
+        first = next(r for r in np.unique(np.concatenate([D.ravel(), half_a, half_b]))
+                     if reference_persistence._matching_feasible(D <= r, half_a <= r, half_b <= r))
+        want = max(brute_bottleneck(inf_a, inf_b), first)
+        assert bottleneck(a + inf_a, inf_b + b) == want
+
+
 def test_bottleneck_accepts_bar_tuples():
     a = [Bar(0.0, 1.0, 1)]
     b = [Bar(0.1, 1.1, 1)]

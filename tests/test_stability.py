@@ -81,8 +81,10 @@ def test_suite_fails_every_trial_when_the_lipschitz_constants_are_understated(mo
 
 
 def test_suite_rejects_negative_eps():
-    with pytest.raises(ParameterError):
-        run_stability_suite(n_trials=1, noise_eps=-0.1)
+    # and noise beyond the [0, 1] range the trial volumes are clipped to
+    for eps in (-0.1, 1.5):
+        with pytest.raises(ParameterError, match="^noise_eps"):
+            run_stability_suite(n_trials=1, noise_eps=eps)
 
 
 def test_suite_rejects_no_trials_and_short_extents(monkeypatch):
