@@ -52,7 +52,7 @@ def _finished(w: np.ndarray, kind: str, sigma: float) -> np.ndarray:
 
 def gaussian_kernel(sigma: float, n: int) -> np.ndarray:
     """Sample G on [-radius, radius]^n, radius = default_radius(sigma), and
-    normalize the read-only float64 weights to sum to 1."""
+    scale the read-only float64 weights to sum to 1."""
     r2 = _squared_offsets(sigma, n, "Gaussian")
     with np.errstate(all="ignore"):  # a weight out of range is refused below
         w = np.exp(-r2 / (2.0 * sigma**2))

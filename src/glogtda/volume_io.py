@@ -1,4 +1,4 @@
-"""Dataset ingestion: the NPZ reader, grayscale conversion, normalization.
+"""Dataset ingestion: the NPZ reader, grayscale conversion, Volumes.
 
 read_npz decodes one NPY member of an open NPZ archive, a plain ZIP container
 (stored and deflate only), its header read with numpy.lib.format. The accepted
@@ -6,9 +6,9 @@ set is deliberately narrow: C-order u8/f32/f64 only, versions 1.0 and 2.0.
 Anything else errors loudly instead of guessing.
 
 A split is read as one stack in its stored dtype (read_split), the payload
-decompressed straight into the array, and turned into normalized grayscale
-Volumes CHUNK samples at a time (to_volumes), so no float64 copy of a whole
-colour stack is ever made.
+decompressed straight into the array. to_volumes turns CHUNK samples at a time
+into grayscale Volumes, scaled from [0, 255] to [0, 1] in one float64 copy of
+the chunk, so no float64 copy of a whole colour stack is ever made.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ _READ_BYTES = 1 << 20  # NPY payload bytes read per call
 class Volume:
     """An n-dimensional grayscale scalar field on a grid, n in {2, 3}.
 
-    ``data`` is stored C-contiguous float64 and marked read-only. Values are
-    raw (e.g. [0, 255]) until passed through :func:`normalize`.
+    ``data`` is a private C-contiguous float64 copy, marked read-only. The
+    volumes to_volumes builds hold intensities normalized to [0, 1].
     """
 
     data: np.ndarray
@@ -78,18 +78,10 @@ class Volume:
 
 @dataclass(frozen=True)
 class Dataset:
-    """One split's labelled volumes, as load_dataset reads them.
-
-    ``rgb_to_gray`` records that the stored stack had a trailing colour axis
-    that was collapsed to luminance.
-    """
+    """One split's labelled volumes, as load_dataset reads them."""
 
     volumes: list[Volume]
     labels: np.ndarray
-    rgb_to_gray: bool = False
-
-    def __len__(self) -> int:
-        return len(self.volumes)
 
 
 def _decode_npy(fp, size: int) -> np.ndarray:
@@ -166,16 +158,6 @@ def grayscale_convert(rgb: np.ndarray) -> np.ndarray:
     return np.rint(lum)
 
 
-def normalize(v: Volume) -> Volume:
-    """Map raw intensities in [0, 255] to [0, 1] by dividing by 255."""
-    if v.data.min() < 0 or v.data.max() > 255:
-        raise DomainError(
-            f"raw values must lie in [0, 255], got range "
-            f"[{v.data.min()}, {v.data.max()}]"
-        )
-    return Volume(v.data / 255.0)
-
-
 def is_label(values) -> np.ndarray:
     """Elementwise: is the value an integer in [0, 2**53)? The one label rule
     of datasets and feature files: below 2**53, GLF1's float64 holds every
@@ -229,10 +211,13 @@ def read_split(path, split: str) -> tuple[np.ndarray, np.ndarray, bool]:
 
 
 def to_volumes(images: np.ndarray, rgb_to_gray: bool) -> list[Volume]:
-    """Normalized grayscale Volumes of some samples of a read_split stack."""
-    if rgb_to_gray:
-        images = grayscale_convert(images)
-    return [normalize(Volume(img)) for img in images.astype(np.float64)]
+    """Grayscale Volumes of some samples of a read_split stack, each raw value
+    in [0, 255] divided by 255; DomainError naming the range otherwise."""
+    x = grayscale_convert(images) if rgb_to_gray else images.astype(np.float64)  # a fresh copy
+    if x.size and (x.min() < 0 or x.max() > 255):  # NaN passes; Volume refuses it
+        raise DomainError(f"raw values must lie in [0, 255], got range [{x.min()}, {x.max()}]")
+    x /= 255.0
+    return [Volume(img) for img in x]
 
 
 def load_dataset(path, split: str) -> Dataset:
@@ -248,4 +233,4 @@ def load_dataset(path, split: str) -> Dataset:
     labels.setflags(write=False)
     volumes = [v for lo in range(0, len(images), CHUNK)
                for v in to_volumes(images[lo : lo + CHUNK], rgb_to_gray)]
-    return Dataset(volumes=volumes, labels=labels, rgb_to_gray=rgb_to_gray)
+    return Dataset(volumes=volumes, labels=labels)

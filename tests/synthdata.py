@@ -1,9 +1,12 @@
-"""Synthetic disk/annulus image sets used by the CLI and acceptance tests.
+"""Synthetic image sets used by the CLI and acceptance tests.
 
-Class 0 is a filled bright disk on a dark background, class 1 a bright
-annulus; position and radius are randomized and both regions carry bounded
-uniform noise. Images are uint8 in [0, 255] so they flow through the same
-loading path as real datasets.
+disk_annulus_images: class 0 is a filled bright disk on a dark background,
+class 1 a bright annulus. sharp_soft_disk_images: both classes are bright
+disks, class 0 with a sharp edge, class 1 with a linear ramp edge, so the
+class is carried by the edge rather than by the topology of the intensity.
+Position and radius are randomized and every pixel carries bounded uniform
+noise. Images are uint8 in [0, 255] so they flow through the same loading
+path as real datasets.
 """
 
 import numpy as np
@@ -29,6 +32,30 @@ def disk_annulus_images(n, size=28, noise=0.05, seed=0):
         img[mask] = 255.0 - rng.uniform(0.0, amp, int(mask.sum()))
         images[i] = np.rint(img).astype(np.uint8)
         labels[i] = label
+    return images, labels
+
+
+def sharp_soft_disk_images(n, size=28, noise=0.05, seed=0):
+    """Bright disks of radius U(0.20, 0.30) * size on a dark background. Class 0
+    has a sharp edge; class 1 falls linearly from full to none over a ramp
+    U(3, 5) px wide centred on the radius. Noise is uniform in [0, noise * 255]."""
+    rng = np.random.default_rng(seed)
+    images = np.zeros((n, size, size), dtype=np.uint8)
+    labels = np.arange(n, dtype=np.int64) % 2
+    amp = noise * 255.0
+    yy, xx = np.mgrid[:size, :size].astype(float)
+    for i in range(n):
+        r = rng.uniform(0.20 * size, 0.30 * size)
+        cx = rng.uniform(r + 3.0, size - r - 3.0)
+        cy = rng.uniform(r + 3.0, size - r - 3.0)
+        dist = np.hypot(yy - cy, xx - cx)
+        if labels[i] == 0:
+            level = (dist <= r).astype(float)
+        else:
+            width = rng.uniform(3.0, 5.0)
+            level = np.clip((r - dist) / width + 0.5, 0.0, 1.0)
+        img = level * (255.0 - amp) + rng.uniform(0.0, amp, (size, size))
+        images[i] = np.rint(img).astype(np.uint8)
     return images, labels
 
 

@@ -3,7 +3,8 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 The synthetic 400-sample disk/annulus set stands in for full-scale benchmark
 data; criteria 6 (2D), 9, 10, 11 and 12 run it through the shipped
-`extract -> train -> eval` commands.
+`extract -> train -> eval` commands. Criterion 13 runs a sharp/soft-edge disk
+set in-process, once with the G-LoG field and once with g1 alone.
 """
 
 import itertools
@@ -13,15 +14,16 @@ import time
 import numpy as np
 import pytest
 
-from glogtda.bifiltration import BiGradedField, union_box
+from glogtda.bifiltration import BiGradedField, compute_glog, union_box
 from glogtda.cli import main
 from glogtda.cubical_persistence import betti_oracle, build_complex, component_count, compute_persistence
 from glogtda.fibered import make_line_grid
-from glogtda.learn import init_model, loss_and_grads
+from glogtda.learn import TrainConfig, auc, forward, init_model, loss_and_grads, model_dims_for, train
 from glogtda.stability_harness import run_decomposition_suite, run_stability_suite
 from glogtda.vectorize import MpiConfig, build_features, render_mpi
+from glogtda.volume_io import to_volumes
 
-from synthdata import disk_annulus_images, write_split_npz
+from synthdata import disk_annulus_images, sharp_soft_disk_images, write_split_npz
 from test_learn import grad_buffers
 from test_vectorize import quadrature_mass, single_bar_barcode
 
@@ -281,4 +283,29 @@ def test_criterion_12_sigma_sensitivity(pipeline_05, pipeline_00):
         12, a >= b - 0.02,
         "sigma=0.5 AUC within 0.02 of the sigma=0 run on the same data",
         f"AUC(0.5) {a:.3f} vs AUC(0) {b:.3f}",
+    )
+
+
+def split_test_auc(fields, labels):
+    """Test AUC of the default pipeline on a 60/30/30 split: features over the
+    train box on 50 lines, then 60 epochs of training with patience 20."""
+    cfg = MpiConfig(box=union_box(*(f.box for f in fields[:60])))
+    x = np.stack([fv.values for fv in build_features(fields, cfg, make_line_grid(cfg.box, 50))])
+    model = init_model(model_dims_for(x.shape[1], 2), 0)
+    best, _ = train(model, x[:60], labels[:60], x[60:90], labels[60:90],
+                    TrainConfig(epochs=60, patience=20))
+    return auc(forward(best, x[90:]), labels[90:])
+
+
+def test_criterion_13_bifiltration_beats_single_parameter():
+    # the classes differ only in their edges, which g2 (the LoG) sees and g1
+    # alone barely does; BiGradedField(g1, g1) slices every line to g1, shifted
+    images, labels = sharp_soft_disk_images(120, size=28, noise=0.05, seed=1)
+    fields = [compute_glog(v, 0.5, 1.0) for v in to_volumes(images, False)]
+    glog_auc = split_test_auc(fields, labels)
+    g1_auc = split_test_auc([BiGradedField(f.g1, f.g1) for f in fields], labels)
+    report(
+        13, glog_auc >= 0.95 and glog_auc - g1_auc >= 0.05,
+        "G-LoG features beat g1-only features on sharp/soft-edge disks by 0.05 AUC",
+        f"AUC G-LoG {glog_auc:.3f} vs g1 only {g1_auc:.3f}",
     )

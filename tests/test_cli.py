@@ -550,7 +550,7 @@ def test_mixed_2d_3d_splits_rejected(tmp_path, capsys, train_shape, split, shape
 
 def test_timing_reports_clipped_samples(tmp_path):
     from glogtda.bifiltration import compute_glog
-    from glogtda.volume_io import Volume, normalize
+    from glogtda.volume_io import Volume
 
     # the val images are brighter than any train image, so every val grade box
     # reaches past the train box, which covers every train sample
@@ -567,7 +567,7 @@ def test_timing_reports_clipped_samples(tmp_path):
     assert timing["samples"] == 7 and timing["mean_seconds"] > 0
     assert timing["clipped"]["train"] == {"samples": 0, "max_excess": 0.0}
     assert timing["clipped"]["val"]["samples"] == 3
-    boxes = {split: [compute_glog(normalize(Volume(v)), 0.5, 1.0).box for v in vols]
+    boxes = {split: [compute_glog(Volume(v / 255.0), 0.5, 1.0).box for v in vols]
              for split, vols in (("train", train), ("val", val))}
     lo1, lo2, hi1, hi2 = (f(b[i] for b in boxes["train"])
                           for f, i in ((min, 0), (min, 1), (max, 2), (max, 3)))
@@ -578,14 +578,12 @@ def test_timing_reports_clipped_samples(tmp_path):
 
 @pytest.mark.parametrize("shape, rgb", [((4, 8, 8, 3), True), ((4, 8, 8), False)])
 def test_extract_config_records_colour_interpretation(tmp_path, shape, rgb):
-    from glogtda.volume_io import load_dataset
-
     rng = np.random.default_rng(8)
     path = tmp_path / "colour.npz"
     labels = np.array([[0], [1], [0], [1]], dtype=np.uint8)
     np.savez(path, train_images=rng.integers(0, 256, shape, dtype=np.uint8), train_labels=labels,
              val_images=rng.integers(0, 256, shape, dtype=np.uint8), val_labels=labels)
-    assert load_dataset(path, "train").rgb_to_gray is rgb
+    assert read_split(path, "train")[2] is rgb
     out = tmp_path / "o"
     assert run(["extract", "--dataset", path, "--out", out,
                 "--num-lines", "4", "--resolution", "8"]) == 0

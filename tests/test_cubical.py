@@ -28,7 +28,7 @@ from glogtda.cubical_persistence import (
 )
 from glogtda.errors import DomainError, ShapeError
 from glogtda.fibered import line_barcodes, make_line_grid
-from glogtda.volume_io import Volume, normalize
+from glogtda.volume_io import Volume
 import reference_persistence
 import synthdata
 
@@ -230,10 +230,10 @@ def test_every_line_matches_the_label_oracle(case):
     rng = np.random.default_rng(7)
     if case == "disk-28x28":
         image = synthdata.disk_annulus_images(1, 28, seed=5)[0][0]
-        field = compute_glog(normalize(Volume(image)), 0.5, 1.0)
+        field = compute_glog(Volume(image / 255.0), 0.5, 1.0)
     else:
         size = int(case.split("x")[-1])
-        field = compute_glog(normalize(Volume(rng.integers(0, 256, (size,) * 3))), 1.5, 1.0)
+        field = compute_glog(Volume(rng.integers(0, 256, (size,) * 3) / 255.0), 1.5, 1.0)
     n = len(field.dims)
     offsets = make_line_grid(field.box, 50).offsets.tolist()
     for off, bc in zip(offsets, line_barcodes(field, offsets)):
@@ -377,10 +377,10 @@ def test_engine_matches_bitset_reference_on_smoothed_volume_slices(case):
     # edges that degree 0 merged
     if case == "disk-28x28":
         image = synthdata.disk_annulus_images(1, 28, seed=9)[0][0]
-        field = compute_glog(normalize(Volume(image)), 0.5, 1.0)
+        field = compute_glog(Volume(image / 255.0), 0.5, 1.0)
     else:
         rng = np.random.default_rng(9)
-        field = compute_glog(normalize(Volume(rng.integers(0, 256, (16, 16, 16)))), 1.5, 1.0)
+        field = compute_glog(Volume(rng.integers(0, 256, (16, 16, 16)) / 255.0), 1.5, 1.0)
     grid = make_line_grid(field.box, 50)
     for offset in grid.offsets[[12, 25, 37]]:
         c = build_complex(slice_scalar_field(field, float(offset)))
@@ -446,10 +446,10 @@ def test_the_previous_pairing_never_serves_another_shape(monkeypatch):
 def test_every_grid_line_matches_the_reference_with_and_without_reuse(case, monkeypatch):
     if case == "disk-28x28":
         image = synthdata.disk_annulus_images(1, 28, seed=4)[0][0]
-        field = compute_glog(normalize(Volume(image)), 0.5, 1.0)
+        field = compute_glog(Volume(image / 255.0), 0.5, 1.0)
     else:
         rng = np.random.default_rng(4)
-        field = compute_glog(normalize(Volume(rng.integers(0, 256, (7, 7, 7)))), 1.0, 1.0)
+        field = compute_glog(Volume(rng.integers(0, 256, (7, 7, 7)) / 255.0), 1.0, 1.0)
     grid = make_line_grid(field.box, 50)
     offsets = grid.offsets.tolist()
     complexes = [build_complex(slice_scalar_field(field, off)) for off in offsets]

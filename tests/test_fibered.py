@@ -25,7 +25,7 @@ from glogtda.fibered import (
     line_barcodes,
     make_line_grid,
 )
-from glogtda.volume_io import Volume, normalize
+from glogtda.volume_io import Volume
 
 import synthdata
 
@@ -320,10 +320,10 @@ def test_every_line_matches_labels_of_the_bifiltration_sets(case):
     # outside layer, the alive degree-(n-1) bars (Alexander duality)
     if case == "disk-28x28":
         image = synthdata.disk_annulus_images(1, 28, seed=5)[0][0]
-        f = compute_glog(normalize(Volume(image)), 0.5, 1.0)
+        f = compute_glog(Volume(image / 255.0), 0.5, 1.0)
     else:
         volume = np.random.default_rng(7).integers(0, 256, (16, 16, 16))
-        f = compute_glog(normalize(Volume(volume)), 1.5, 1.0)
+        f = compute_glog(Volume(volume / 255.0), 1.5, 1.0)
     n = len(f.dims)
     offsets = make_line_grid(f.box, 50).offsets.tolist()
     for b, bc in zip(offsets, line_barcodes(f, offsets)):

@@ -26,7 +26,7 @@ from glogtda.vectorize import (
     render_segments,
     write_feature_bin,
 )
-from glogtda.volume_io import Volume, normalize
+from glogtda.volume_io import Volume
 import reference_render
 from synthdata import disk_annulus_images
 
@@ -204,7 +204,7 @@ def clipped_barcodes():
     """(line tables, grid, config, axes) of 28x28 disks and 8^3 noise
     volumes; the last sample of each set lies partly outside the box."""
     images, _ = disk_annulus_images(3, size=28, seed=1)
-    fields2 = [compute_glog(normalize(Volume(im)), 0.5, 1.0) for im in images]
+    fields2 = [compute_glog(Volume(im / 255.0), 0.5, 1.0) for im in images]
     rng = np.random.default_rng(11)
     fields3 = [compute_glog(Volume(rng.random((8, 8, 8))), 0.5, 1.0) for _ in range(2)]
     out = []

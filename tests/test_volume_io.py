@@ -19,7 +19,6 @@ from glogtda.volume_io import (
     Volume,
     grayscale_convert,
     load_dataset,
-    normalize,
     read_npz,
     read_split,
     to_volumes,
@@ -193,32 +192,56 @@ def test_read_npz_unsupported_compression():
         read_npz(buf, "x")
 
 
-# --- normalize / grayscale ---------------------------------------------------
+# --- to_volumes / grayscale --------------------------------------------------
 
 
-def test_normalize_examples():
-    v = normalize(Volume(np.array([[0.0, 255.0], [128.0, 10.0]])))
+def test_to_volumes_examples():
+    (v,) = to_volumes(np.array([[[0.0, 255.0], [128.0, 10.0]]]), False)
     assert v.data[0, 0] == 0.0
     assert v.data[0, 1] == 1.0
     assert v.data[1, 0] == 128.0 / 255.0
 
 
-def test_normalize_zero_fixed_point():
-    v = normalize(Volume(np.zeros((3, 3))))
+def test_to_volumes_zero_fixed_point():
+    (v,) = to_volumes(np.zeros((1, 3, 3)), False)
     assert (v.data == 0).all()
 
 
-def test_normalize_domain_error():
-    with pytest.raises(DomainError):
-        normalize(Volume(np.full((2, 2), 256.0)))
-    with pytest.raises(DomainError):
-        normalize(Volume(np.full((2, 2), -1.0)))
+def test_to_volumes_domain_error():
+    for dtype in (np.float32, np.float64):
+        for bad in (256.0, -1.0):
+            with pytest.raises(DomainError, match=r"must lie in \[0, 255\]"):
+                to_volumes(np.full((2, 2, 2), bad, dtype=dtype), False)
+        stack = np.zeros((2, 2, 2), dtype=dtype)
+        stack[1, 0, 1] = np.nan  # passes the range check; the Volume refuses it
+        with pytest.raises(DomainError, match="non-finite"):
+            to_volumes(stack, False)
+        assert to_volumes(stack[:0], False) == []
 
 
-def test_normalize_is_monotone_affine():
+def test_to_volumes_builds_each_volume_once(monkeypatch):
+    calls = []
+    post_init = Volume.__post_init__
+
+    def spy(self):
+        calls.append(self.data.shape)
+        post_init(self)
+
+    monkeypatch.setattr(Volume, "__post_init__", spy)
+    rng = np.random.default_rng(5)
+    for stack, rgb in ((rng.integers(0, 256, (5, 4, 6), dtype=np.uint8), False),
+                       (rng.integers(0, 256, (3, 4, 6, 3), dtype=np.uint8), True),
+                       (rng.uniform(0, 255, (2, 3, 4, 5)), False)):
+        calls.clear()
+        vols = to_volumes(stack, rgb)
+        assert calls == [v.dims for v in vols] and len(vols) == len(stack)
+
+
+def test_to_volumes_is_monotone_affine():
     rng = np.random.default_rng(0)
     raw = rng.uniform(0, 255, (6, 6))
-    out = normalize(Volume(raw)).data
+    (v,) = to_volumes(raw[None], False)
+    out = v.data
     order_in = np.argsort(raw.ravel())
     order_out = np.argsort(out.ravel())
     np.testing.assert_array_equal(order_in, order_out)
@@ -298,7 +321,8 @@ def test_split_is_read_in_its_stored_dtype_and_converted_chunk_by_chunk(tmp_path
         assert stack.dtype == np.uint8 and stack.tobytes() == images.tobytes() and rgb_to_gray
         assert labs.tolist() == labels.reshape(-1).tolist()
     ds = load_dataset(path, "train")
-    assert len(ds) == len(images) and ds.rgb_to_gray and not hasattr(ds, "split")
+    assert len(ds.volumes) == len(images) and rgb_to_gray
+    assert not hasattr(ds, "split") and not hasattr(ds, "rgb_to_gray")
     assert ds.labels.dtype == np.int64 and not ds.labels.flags.writeable
     np.testing.assert_array_equal(ds.labels, labs)
     whole = to_volumes(stack, rgb_to_gray)
@@ -313,6 +337,7 @@ def test_empty_split_is_read_but_is_no_dataset(tmp_path):
              test_labels=np.zeros((0, 1), dtype=np.uint8))
     stack, labs, rgb_to_gray = read_split(path, "test")
     assert stack.shape == (0, 5, 5) and len(labs) == 0 and not rgb_to_gray
+    assert to_volumes(stack, rgb_to_gray) == []
     with pytest.raises(ParameterError, match="got 0 volumes, 0 labels"):
         load_dataset(path, "test")
     np.savez(path, test_images=np.zeros((0, 5, 5), dtype=np.uint8),
