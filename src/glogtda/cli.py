@@ -194,7 +194,7 @@ def _clip_report(boxes, box) -> dict:
             "max_excess": float(reach.max(initial=0.0))}
 
 
-def _extract_split(path: Path, stack, extract, width: int) -> tuple[list[float], list]:
+def _extract_split(split: str, path: Path, stack, extract, width: int) -> tuple[list[float], list]:
     """Stream one split, CHUNK samples at a time, through extract (a map of
     _extract_one) into the GLF1 file path, closed on return. Returns each
     sample's extraction seconds and grade box."""
@@ -204,7 +204,7 @@ def _extract_split(path: Path, stack, extract, width: int) -> tuple[list[float],
     with open(path, "wb") as glf1:
         glf1.write(header)
         for lo in range(0, len(images), CHUNK):
-            feats, secs, bxs = zip(*extract(to_volumes(images[lo : lo + CHUNK], rgb_to_gray)))
+            feats, secs, bxs = zip(*extract(to_volumes(images[lo : lo + CHUNK], rgb_to_gray, split, lo)))
             glf1.write(vectorize.feature_table(feats, labels[lo : lo + CHUNK]).tobytes())
             seconds += secs
             boxes += bxs
@@ -220,7 +220,7 @@ def _train_split(path, glog) -> tuple[tuple[int, ...], tuple]:
         images = ()
     if len(images) == 0:
         raise ParameterError(f"dataset {path} has an empty or absent train split")
-    boxes = [union_box(*(glog(v).box for v in to_volumes(images[lo : lo + CHUNK], rgb)))
+    boxes = [union_box(*(glog(v).box for v in to_volumes(images[lo : lo + CHUNK], rgb, "train", lo)))
              for lo in range(0, len(images), CHUNK)]
     return images.shape[1 : images.ndim - rgb], union_box(*boxes)  # colour axis dropped
 
@@ -264,7 +264,7 @@ def cmd_extract(o) -> int:
             if (got := images.shape[1 : images.ndim - rgb]) != shape:
                 raise ShapeError(f"{split} split holds {len(got)}D volumes {got}, train split {shape}")
             rgb_to_gray[split] = rgb
-            seconds, boxes = _extract_split(staged(f"features_{split}.bin"), stack, extract,
+            seconds, boxes = _extract_split(split, staged(f"features_{split}.bin"), stack, extract,
                                             1 + feature_dim)
             timings += seconds
             clipped[split] = _clip_report(boxes, cfg.box)

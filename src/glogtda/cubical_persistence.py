@@ -60,7 +60,7 @@ class Barcode:
     pairing: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        table = np.array(self.table, dtype=np.float64).reshape(-1, 3)
+        table = np.array(self.table, dtype=np.float64, order="C").reshape(-1, 3)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
         for ranks in self.pairing or ():
@@ -200,8 +200,8 @@ def _elder_rule(node_keys: np.ndarray, links: np.ndarray, key: np.ndarray, sign:
     parent[apparent] = apparent_ends[:, 0] + apparent_ends[:, 1] - apparent
     parent = parent.tolist()
     keys = node_keys.tolist()
-    free = np.flatnonzero(~paired[links])
-    free = free[np.argsort(sign * key[links[free]])]
+    free = (~paired[links]).nonzero()[0]
+    free = free[(sign * key[links[free]]).argsort()]
     dying, merging = [], []
     for cell, (a, b) in zip(links[free].tolist(), link_ends[free].tolist()):
         # find both roots, halving the paths on the way
@@ -244,8 +244,8 @@ def compute_persistence(c: CubicalComplex, previous: Barcode | None = None) -> B
     pairing = None if previous is None else previous.pairing
     if pairing is None or not np.array_equal(pairing[0], vertex_rank):
         pairing = (vertex_rank, *_pair_ranks(c.structure, vertex_rank, values.size))
-    grade = np.append(values, INF)  # ranks order like their values; the sentinel is +inf
-    return Barcode(np.column_stack((grade[pairing[1]], grade[pairing[2]], pairing[3])), pairing)
+    grade = np.concatenate((values, (INF,)))  # ranks order like their values; the sentinel is +inf
+    return Barcode(np.concatenate((grade.take(pairing[1:3]), pairing[3][None])).T, pairing)
 
 
 def _pair_ranks(st: _Structure, vertex_rank: np.ndarray, n_values: int) -> tuple:
@@ -254,9 +254,9 @@ def _pair_ranks(st: _Structure, vertex_rank: np.ndarray, n_values: int) -> tuple
 
     # lift the ranks to the cells by the lower-star rule; the sentinel cell
     # n_cells ranks above every value
-    rank = np.append(_lower_star(vertex_rank).ravel(), n_values)
+    rank = np.concatenate((_lower_star(vertex_rank).ravel(), (n_values,)))
     # unique keys, bit fields (rank, dimension, cell); key[-1] is a missing coface
-    key = np.append((rank[:n_cells] << st.rank_shift) | st.dim_anchor, _NO_COFACE)
+    key = np.concatenate(((rank[:n_cells] << st.rank_shift) | st.dim_anchor, (_NO_COFACE,)))
 
     # --- apparent pairs ------------------------------------------------------
     # along each axis of the doubled grid, a cell at an odd position has its
@@ -273,7 +273,7 @@ def _pair_ranks(st: _Structure, vertex_rank: np.ndarray, n_values: int) -> tuple
         np.minimum(oldest[upper], grid[odd], out=oldest[upper])
     # a vertex keeps 0, which names vertex 0, whose oldest coface is an edge
     youngest = youngest.ravel() & mask
-    up = np.flatnonzero(oldest.ravel()[youngest] == key[:n_cells])
+    up = (oldest.ravel()[youngest] == key[:n_cells]).nonzero()[0]
     lo = youngest[up]
     paired = np.zeros(n_cells, dtype=bool)
     paired[lo] = paired[up] = True
@@ -297,13 +297,13 @@ def _pair_ranks(st: _Structure, vertex_rank: np.ndarray, n_values: int) -> tuple
     # row partner[p]), omits p. Columns skip cells earlier passes paired; pivots get paired
     for k in range(1, n - 1):
         cofaces = st.cofaces[k]
-        at_k = np.flatnonzero(lo_dims == k)
+        at_k = (lo_dims == k).nonzero()[0]
         partner = np.full(n_cells, -1)
         partner[up[at_k]] = index[lo[at_k]]
         pivots: dict[int, list[int]] = {}
         cols = st.cells_of_dim[k]
         cols = cols[~paired[cols]]
-        cols = cols[np.argsort(key[cols])[::-1]]
+        cols = cols[key[cols].argsort()[::-1]]
         destroyers = []
         for col in np.sort(key[cofaces[index[cols]]]).tolist():  # a sorted list is a heap
             while True:
@@ -332,7 +332,7 @@ def _pair_ranks(st: _Structure, vertex_rank: np.ndarray, n_values: int) -> tuple
     if n >= 2:
         tops, walls = st.cells_of_dim[n], st.cells_of_dim[n - 1]
         at_top = lo_dims == n - 1
-        dying, merging = _elder_rule(-np.append(key[tops], _NO_COFACE), walls, key, -1,
+        dying, merging = _elder_rule(-np.concatenate((key[tops], (_NO_COFACE,))), walls, key, -1,
                                      st.wall_sides, index[up[at_top]],
                                      st.wall_sides[index[lo[at_top]]], paired)
         pairs.append((merging, tops[dying]))
@@ -340,7 +340,7 @@ def _pair_ranks(st: _Structure, vertex_rank: np.ndarray, n_values: int) -> tuple
     # --- pairs to bars ---------------------------------------------------------
     creators, destroyers = (np.concatenate(cells).astype(np.int64) for cells in zip(*pairs))
     birth, death, degree = rank[creators], rank[destroyers], st.cell_dims[creators]
-    keep = np.flatnonzero(death > birth)
+    keep = (death > birth).nonzero()[0]
     keep = keep[np.lexsort((death[keep], birth[keep], degree[keep]))]
     return birth[keep], death[keep], degree[keep]
 

@@ -89,11 +89,12 @@ def clip_bars(bars: np.ndarray, t_enter: float, t_exit: float, delta: float) -> 
     death) order. The same map is applied wherever barcodes from different
     one-parameter computations must stay comparable.
     """
-    table = np.asarray(bars, dtype=np.float64).reshape(-1, 3)
-    birth, death, degree = table.T
-    birth = np.maximum(birth, t_enter)
-    death = np.where(np.isinf(death), t_exit + delta, np.minimum(death, t_exit))
-    out = np.column_stack((birth, death, degree))[death > birth]
+    out = np.array(bars, dtype=np.float64).reshape(-1, 3)  # a copy, clipped in place
+    birth, death, infinite = out[:, 0], out[:, 1], np.isinf(out[:, 1])
+    np.maximum(birth, t_enter, out=birth)
+    np.minimum(death, t_exit, out=death)
+    death[infinite] = t_exit + delta
+    out = out[death > birth]
     out = out[np.lexsort((out[:, 1], out[:, 0], out[:, 2]))]
     out.setflags(write=False)
     return out

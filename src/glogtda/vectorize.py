@@ -49,8 +49,10 @@ class MpiConfig:
         reach = _CUTOFF_BANDWIDTHS * self.bandwidth  # squared by products, which cannot raise
         if not np.isfinite(reach * reach) or 2.0 * (self.bandwidth * self.bandwidth) == 0:
             raise ParameterError(f"bandwidth {self.bandwidth} squares past the float range")
-        if any(r < 1 for r in self.resolution):
-            raise ParameterError(f"resolution must be >= 1, got {self.resolution}")
+        res = tuple(self.resolution) if isinstance(self.resolution, (tuple, list)) else ()
+        if len(res) != 2 or not all(isinstance(r, (int, np.integer)) and r >= 1 for r in res):
+            raise ParameterError(f"resolution must be two positive integers, got {self.resolution!r}")
+        object.__setattr__(self, "resolution", tuple(map(int, res)))
         object.__setattr__(self, "box", widen_box(self.box))
 
 
@@ -85,6 +87,29 @@ def _pixel_frame(resolution: tuple[int, int], box: Box):
     return s, frame
 
 
+@functools.lru_cache(maxsize=128)
+def _line_frame(resolution: tuple[int, int], box: Box, bandwidth: float, offset: float):
+    """What render_segments takes from the line {(t, t + offset)} alone, read-only: s, shift,
+    and for the pixels within 8 bandwidths their flat indices, band positions 0..n-1 twice,
+    c^2, exp(-c^2/2h^2) and rows (along - reach, along, along + reach). At 64 bytes per band
+    pixel, 128 frames hold at most 8 KB per image pixel; 50 lines at the defaults ~1.2 MB."""
+    min1, min2, max1, max2 = box
+    span1, span2 = max1 - min1, max2 - min2
+    s, (px_along, px_across) = _pixel_frame(resolution, box)
+    shift = ((offset - min2) / span2**2 - min1 / span1**2) / s
+    across = (offset - min2 + min1) / (span1 * span2 * s)
+    margin = _CUTOFF_BANDWIDTHS * bandwidth
+    c2 = (px_across - across) ** 2
+    band = (c2 <= margin**2).nonzero()[0]
+    along, c2 = px_along[band], c2[band]
+    reach = np.sqrt(margin**2 - c2) + 1e-6 * margin  # slack keeps every pair the cutoff lets through
+    frame = (band, np.tile(np.arange(band.size), 2), c2,
+             np.exp(-c2 / (2.0 * bandwidth**2)), np.stack((along - reach, along, along + reach)))
+    for a in frame:
+        a.setflags(write=False)
+    return (s, shift, *frame)
+
+
 def render_segments(
     bars: np.ndarray, offset: float, weights: np.ndarray, cfg: MpiConfig
 ) -> np.ndarray:
@@ -97,43 +122,35 @@ def render_segments(
     line lies at squared distance c^2 + e^2 from a bar, e its excess beyond the
     bar's ends, and gets nothing from it past 8 bandwidths. Bars spanning the
     pixel add a prefix sum difference of weights times exp(-c^2/2h^2); only
-    near ends take an exp.
+    near ends take an exp. What the line alone decides comes from _line_frame.
     """
-    bars = np.reshape(bars, (-1, 2))
+    bars = bars.reshape(-1, 2)
     img = np.zeros(cfg.resolution[0] * cfg.resolution[1], dtype=np.float64)
     m = len(bars)
     if not m:
         return img.reshape(cfg.resolution)
-    min1, min2, max1, max2 = cfg.box
-    span1, span2 = max1 - min1, max2 - min2
-    s, (px_along, px_across) = _pixel_frame(cfg.resolution, cfg.box)
-    shift = ((offset - min2) / span2**2 - min1 / span1**2) / s
-    across = (offset - min2 + min1) / (span1 * span2 * s)
-    lo, hi = (bars * s + shift).T
+    s, shift, band, pixels, c2, gauss, keys = _line_frame(cfg.resolution, cfg.box, cfg.bandwidth, offset)
     margin = _CUTOFF_BANDWIDTHS * cfg.bandwidth
-    c2 = (px_across - across) ** 2
-    band = np.flatnonzero(c2 <= margin**2)
-    along, c2 = px_along[band], c2[band]
-    by_hi, by_lo = np.argsort(hi), np.argsort(lo)
-    # the sorted high ends, then the sorted low ends; weights and prefix sums in both orders
-    ends = np.concatenate((hi[by_hi], lo[by_lo]))
-    w_end = np.ravel(weights)[np.concatenate((by_hi, by_lo))]
-    cw = np.concatenate((np.zeros((2, 1)), np.cumsum(w_end.reshape(2, m), axis=1)), axis=1)
-    hi, lo = ends[:m], ends[m:]
-    n_hi_lt = np.searchsorted(hi, along, "left")  # bars ending before the pixel
-    n_lo_le = np.searchsorted(lo, along, "right")  # bars starting at or before it
-    inside = np.where(n_lo_le > n_hi_lt, cw[1, n_lo_le] - cw[0, n_hi_lt], 0.0)
-    # ragged ranges of the ends within reach, high ends before the pixel and low
-    # ends after it; the slack keeps every pair the cutoff rule lets through
-    reach = np.sqrt(margin**2 - c2) + 1e-6 * margin
-    first = np.concatenate((np.searchsorted(hi, along - reach), n_lo_le + m))
-    count = np.concatenate((n_hi_lt, np.searchsorted(lo, along + reach, "right") + m)) - first
-    pixel = np.repeat(np.tile(np.arange(len(band)), 2), count)
-    end = np.arange(len(pixel)) + np.repeat(first - np.cumsum(count) + count, count)
-    d2 = c2[pixel] + (ends[end] - along[pixel]) ** 2
-    kernel = np.exp(-d2 / (2.0 * cfg.bandwidth**2), out=np.zeros_like(d2), where=d2 <= margin**2)
-    near = np.bincount(pixel, w_end[end] * kernel, minlength=len(band))
-    img[band] = inside * np.exp(-c2 / (2.0 * cfg.bandwidth**2)) + near
+    # rows of sorted high ends and sorted low ends; their weights and prefix sums
+    ends = bars.T[::-1] * s + shift
+    order = ends.argsort(axis=1)
+    ends, w_end = ends[((0,), (1,)), order], weights.take(order)
+    cw = np.zeros((2, m + 1))
+    w_end.cumsum(axis=1, out=cw[:, 1:])
+    # per pixel: the first high end within reach, the high ends before it, the
+    # low ends at or before it, the last low end within reach
+    b = np.concatenate((ends[0].searchsorted(keys[:2]), ends[1].searchsorted(keys[1:], "right")))
+    inside = cw[1].take(b[2]) - cw[0].take(b[1])
+    inside[b[2] <= b[1]] = 0.0
+    # ragged ranges, in ends flattened, of the ends within reach: high ends before
+    # the pixel and low ends after it
+    b[2:] += m
+    count = (b[1::2] - b[::2]).ravel()
+    pixel = pixels.repeat(count)
+    end = (b[::2].ravel() - count.cumsum() + count).repeat(count) + np.arange(len(pixel))
+    d2 = c2.take(pixel) + (ends.take(end) - keys[1].take(pixel)) ** 2
+    kernel = np.exp(d2 / (-2.0 * cfg.bandwidth**2), out=np.zeros(len(d2)), where=d2 <= margin**2)
+    img[band] = inside * gauss + np.bincount(pixel, w_end.take(end) * kernel, minlength=len(band))
     return img.reshape(cfg.resolution)
 
 

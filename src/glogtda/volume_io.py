@@ -210,12 +210,14 @@ def read_split(path, split: str) -> tuple[np.ndarray, np.ndarray, bool]:
     return images, labels, rgb_to_gray
 
 
-def to_volumes(images: np.ndarray, rgb_to_gray: bool) -> list[Volume]:
-    """Grayscale Volumes of some samples of a read_split stack, each raw value
-    in [0, 255] divided by 255; DomainError naming the range otherwise."""
+def to_volumes(images: np.ndarray, rgb_to_gray: bool, split: str = "", start: int = 0) -> list[Volume]:
+    """Grayscale Volumes of some samples of a read_split stack, each raw value in [0, 255]
+    divided by 255; else DomainError naming split, the sample (start + index) and its range."""
     x = grayscale_convert(images) if rgb_to_gray else images.astype(np.float64)  # a fresh copy
     if x.size and (x.min() < 0 or x.max() > 255):  # NaN passes; Volume refuses it
-        raise DomainError(f"raw values must lie in [0, 255], got range [{x.min()}, {x.max()}]")
+        i = int(((x < 0) | (x > 255)).reshape(len(x), -1).any(axis=1).argmax())
+        raise DomainError(f"{split} sample {start + i}: raw values must lie in [0, 255], got "
+                          f"range [{x[i].min()}, {x[i].max()}]".lstrip())
     x /= 255.0
     return [Volume(img) for img in x]
 
@@ -232,5 +234,5 @@ def load_dataset(path, split: str) -> Dataset:
                              "got 0 volumes, 0 labels")
     labels.setflags(write=False)
     volumes = [v for lo in range(0, len(images), CHUNK)
-               for v in to_volumes(images[lo : lo + CHUNK], rgb_to_gray)]
+               for v in to_volumes(images[lo : lo + CHUNK], rgb_to_gray, split, lo)]
     return Dataset(volumes=volumes, labels=labels)

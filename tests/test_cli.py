@@ -502,6 +502,23 @@ def test_a_bad_value_in_a_late_chunk_writes_no_output(tmp_path, capsys, bad):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("split, index", [("val", 1), ("train", CHUNK + 1), ("test", CHUNK + 2)])
+def test_a_raw_value_past_255_names_its_split_and_sample(tmp_path, capsys, split, index):
+    # an f8 archive; the index counts from the start of the split, across chunks
+    rng = np.random.default_rng(17)
+    sizes = {"train": CHUNK + 3 if split == "train" else 6, "val": 3, "test": CHUNK + 4}
+    images = {name: rng.uniform(1, 255, (n, 6, 6)) for name, n in sizes.items()}
+    images[split][index, 2, 4] = 300.0
+    path = tmp_path / "bad.npz"
+    np.savez(path, **{f"{name}_images": x for name, x in images.items()},
+             **{f"{name}_labels": np.zeros((len(x), 1)) for name, x in images.items()})
+    assert run(["extract", "--dataset", path, "--out", tmp_path / "o", "--num-lines", "2",
+                "--resolution", "4"]) == 2
+    low = images[split][index].min()
+    assert capsys.readouterr().err == (f"error: {split} sample {index}: raw values must lie in "
+                                       f"[0, 255], got range [{low}, 300.0]\n")
+
+
 def extract_peak_rss_kb(tmp_path, n):
     images, labels = disk_annulus_images(n, size=28, seed=1)
     path = write_split_npz(tmp_path / f"disk{n}.npz", images, labels)

@@ -285,6 +285,62 @@ def test_config_validation():
     assert widened.box[2] > widened.box[0]
 
 
+@pytest.mark.parametrize("resolution", [(8,), (8, 8, 8), (8.0, 8.0), (0, 8), (8, -1), 8, "88",
+                                        (8, None)])
+def test_resolution_must_be_two_positive_integers(resolution):
+    # each of these used to pass the config and fail inside build_features
+    with pytest.raises(ParameterError, match="resolution must be two positive integers"):
+        MpiConfig(box=(0, 0, 1, 1), resolution=resolution)
+
+
+def test_a_list_resolution_is_stored_as_a_tuple_and_draws_the_same_bytes():
+    box = (0.0, 0.0, 1.0, 1.0)
+    as_list = MpiConfig(box=box, resolution=[8, 6])
+    as_numpy = MpiConfig(box=box, resolution=(np.int64(8), np.int64(6)))
+    for cfg in (as_list, as_numpy):
+        assert cfg.resolution == (8, 6) and all(type(r) is int for r in cfg.resolution)
+    rng = np.random.default_rng(4)
+    f = BiGradedField(g1=rng.random((6, 6)), g2=rng.random((6, 6)))
+    grid = make_line_grid(box, 5)
+    want = build_features([f], MpiConfig(box=box, resolution=(8, 6)), grid=grid)[0].values.tobytes()
+    assert build_features([f], as_list, grid=grid)[0].values.tobytes() == want
+    img = render_segments(np.array([[0.2, 0.7]]), 0.0, np.ones(1), as_list)
+    assert img.shape == (8, 6) and img.max() > 0
+
+
+def test_line_frame_cache_key_covers_everything_the_frame_depends_on():
+    # configs that differ only in bandwidth, only in box or only in resolution,
+    # each at two offsets: with the cache warm and the calls interleaved, every
+    # image must be the one drawn with the cache cold
+    bars, weights = np.array([[0.1, 0.6], [0.3, 0.9], [0.45, 0.5]]), np.array([1.0, 0.5, 2.0])
+    base = MpiConfig(box=(0.0, 0.0, 1.0, 1.0), resolution=(10, 10), bandwidth=0.05)
+    configs = (base, MpiConfig(base.box, base.resolution, bandwidth=0.08),
+               MpiConfig((0.0, 0.0, 1.2, 1.0), base.resolution, base.bandwidth),
+               MpiConfig(base.box, (12, 9), base.bandwidth))
+    cases = [(cfg, offset) for cfg in configs for offset in (0.0, 0.15)]
+    cold = []
+    for cfg, offset in cases:
+        vectorize._line_frame.cache_clear()
+        cold.append(render_segments(bars, offset, weights, cfg).tobytes())
+    assert len(set(cold)) == len(cases)
+    for _ in range(2):
+        for (cfg, offset), want in zip(cases, cold):
+            assert render_segments(bars, offset, weights, cfg).tobytes() == want
+    assert vectorize._line_frame.cache_info().hits >= len(cases)
+
+
+def test_build_features_gives_the_same_bytes_cold_and_warm():
+    images, _ = disk_annulus_images(2, size=28, seed=3)
+    fields = [compute_glog(Volume(im / 255.0), 0.5, 1.0) for im in images]
+    cfg = MpiConfig(box=compute_global_box(fields), resolution=(20, 20))
+    grid = make_line_grid(cfg.box, 12)
+    vectorize._line_frame.cache_clear()
+    cold = build_features(fields[:1], cfg, grid)[0].values.tobytes()
+    warm = build_features(fields[::-1] + fields[:1], cfg, grid)
+    assert vectorize._line_frame.cache_info().hits > 0
+    assert warm[-1].values.tobytes() == cold and warm[0].values.tobytes() != cold
+
+
 @pytest.mark.parametrize("bandwidth", [1e160, 1e300, 1e-200])
 def test_bandwidth_whose_square_leaves_the_floats_is_refused(bandwidth):
     # 1e160 and 1e300 overflowed the cutoff's square; at 1e-200, 2 h^2 was 0

@@ -212,6 +212,12 @@ def test_to_volumes_domain_error():
         for bad in (256.0, -1.0):
             with pytest.raises(DomainError, match=r"must lie in \[0, 255\]"):
                 to_volumes(np.full((2, 2, 2), bad, dtype=dtype), False)
+        stack = np.zeros((3, 2, 2), dtype=dtype)
+        stack[1, 0, 1], stack[2] = 256.0, -1.0  # the first sample out of range is named
+        with pytest.raises(DomainError, match=r"^val sample 65: .* got range \[0\.0, 256\.0\]$"):
+            to_volumes(stack, False, "val", 64)
+        with pytest.raises(DomainError, match=r"^sample 1: raw values"):
+            to_volumes(stack, False)
         stack = np.zeros((2, 2, 2), dtype=dtype)
         stack[1, 0, 1] = np.nan  # passes the range check; the Volume refuses it
         with pytest.raises(DomainError, match="non-finite"):
